@@ -319,12 +319,12 @@ class _LogWriter:
         self.fh.close()
 
 
-def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs, seed: int,
+def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs,
                 learn: bool = True, mode: str | None = None) -> EpisodeRun:
     """Roll one episode; when learning, update every n_steps and at episode
     end, whichever comes first."""
     cfg = agent.config
-    env.reset(jobs, seed=seed)
+    env.reset(jobs)
     obs = env.encode_state()
     segment: list[Transition] = []
     rewards: list[float] = []
@@ -335,12 +335,12 @@ def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs, seed: int,
     while not env.is_done():
         action = agent.act(obs, mode=mode)
         outcome = env.step(action)
+        next_obs = env.encode_state()
         rewards.append(outcome.reward)
         steps += 1
         if learn:
             segment.append(
-                Transition(obs, action, outcome.reward, outcome.observation,
-                           outcome.done)
+                Transition(obs, action, outcome.reward, next_obs, outcome.done)
             )
             if len(segment) >= cfg.n_steps or outcome.done:
                 diag = agent.update(segment)
@@ -348,7 +348,7 @@ def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs, seed: int,
                     sums[key] += diag[key]
                 updates += 1
                 segment = []
-        obs = outcome.observation
+        obs = next_obs
     report = episode_report(env.completed, rewards, cfg.gamma,
                             total_jobs=len(env.jobs))
     if updates:
@@ -383,7 +383,7 @@ def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
         for episode in range(episodes):
             jobs = sequences[episode % len(sequences)]
             try:
-                run = run_episode(env, agent, jobs, seed=episode, learn=True)
+                run = run_episode(env, agent, jobs, learn=True)
             except TrainingDiverged as exc:
                 raise TrainingDiverged(str(exc), episode=episode) from exc
             report, diag = run.report, run.diagnostics

@@ -13,36 +13,36 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
-from .agent import ActorCriticAgent, AgentConfig, train
+from .agent import AgentConfig, train
 from .baselines import run_greedy
-from .config import EnvConfig, env_config_from_dict
+from .config import EnvConfig, env_config_from_dict, read_yaml
 from .env import ClusterEnv
 from .errors import ConfigError, RlschedError
 from .experiment import (
+    EPISODE_COLUMNS,
     ExperimentSpec,
-    _fmt,
-    _write_csv,
     emit_plot_series,
+    run_cell,
     run_experiment,
+    write_csv,
 )
 from .workload import WorkloadSpec, generate
-from .experiment import _build_policy
 
 CONFIG_SECTIONS = ("env", "workload", "agent", "experiment", "train", "trace")
 
 TRAIN_DEFAULTS = {"episodes": 500, "sequences": 1, "checkpoint_every": 0}
 TRACE_DEFAULTS = {"time_scale": 1.0}
+# `evaluate --out` writes the sweep's episode columns without the cell keys
+EVALUATE_COLUMNS = EPISODE_COLUMNS[EPISODE_COLUMNS.index("episode"):]
 
 
 def load_harness_config(path: str | None) -> dict:
     """Read the harness config file; sections and keys are strictly checked."""
     raw = {}
     if path:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+        raw = read_yaml(path) or {}
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: expected a mapping of sections")
         unknown = set(raw) - set(CONFIG_SECTIONS)
@@ -67,12 +67,10 @@ def _env_config(raw: dict) -> EnvConfig:
     return env_config_from_dict(raw.get("env", {}))
 
 
-def _workload_spec(raw: dict, rate=None, seed=None) -> WorkloadSpec:
+def _workload_spec(raw: dict, rate=None) -> WorkloadSpec:
     spec = _dataclass_from_section(WorkloadSpec, raw.get("workload"), "workload")
     if rate is not None:
         spec = dataclasses.replace(spec, rate=rate)
-    if seed is not None:
-        spec = dataclasses.replace(spec, seed=seed)
     return spec
 
 
@@ -81,6 +79,21 @@ def _agent_config(raw: dict, arch=None) -> AgentConfig:
     if arch is not None:
         cfg = dataclasses.replace(cfg, architecture=arch)
     return cfg
+
+
+def _experiment_spec(raw: dict, **overrides) -> ExperimentSpec:
+    """The config's experiment section with `overrides` on top."""
+    return _dataclass_from_section(
+        ExperimentSpec,
+        {
+            **(raw.get("experiment") or {}),
+            **overrides,
+            "env": _env_config(raw),
+            "workload": _workload_spec(raw),
+            "agent": _agent_config(raw),
+        },
+        "experiment",
+    )
 
 
 def _sequence_seed(seed: int, index: int) -> int:
@@ -125,7 +138,7 @@ def cmd_train(args) -> int:
     env = ClusterEnv(env_cfg)
     eval_rows = []
     for jobs in sequences:
-        env.reset(jobs, seed=args.seed)
+        env.reset(jobs)
         report = run_greedy(
             lambda e: agent.act(e.encode_state(), mode="greedy"),
             env,
@@ -151,48 +164,18 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     raw = load_harness_config(args.config)
-    env_cfg = _env_config(raw)
-    spec = ExperimentSpec(
+    spec = _experiment_spec(
+        raw,
         policies=(args.policy,),
         job_rates=(args.rate,),
         seeds=(args.seed,),
         episodes=args.episodes,
-        env=env_cfg,
-        workload=_workload_spec(raw),
-        agent=_agent_config(raw),
-        checkpoint=args.checkpoint,
         summary_window=args.episodes,
+        **({"checkpoint": args.checkpoint} if args.checkpoint else {}),
     )
-    env = ClusterEnv(env_cfg)
-    policy = _build_policy(args.policy, spec, env, args.seed, 0)
-    rows = []
-    for episode in range(args.episodes):
-        wseed = int(
-            np.random.SeedSequence([args.seed, 0, episode]).generate_state(1)[0]
-        )
-        jobs = generate(
-            dataclasses.replace(spec.workload, rate=args.rate, seed=wseed), env_cfg
-        )
-        env.reset(jobs, seed=wseed)
-        report = run_greedy(policy, env, gamma=spec.gamma)
-        rows.append(
-            {
-                "episode": episode,
-                "completed": report.completed_count,
-                "truncated": report.truncated,
-                "avg_slowdown": report.avg_slowdown,
-                "avg_completion_time": report.avg_completion_time,
-                "avg_waiting_time": report.avg_waiting_time,
-                "discounted_reward": report.total_discounted_reward,
-            }
-        )
+    rows = run_cell(spec, args.policy, 0, args.seed)
     if args.out:
-        _write_csv(
-            Path(args.out),
-            ["episode", "completed", "truncated", "avg_slowdown",
-             "avg_completion_time", "avg_waiting_time", "discounted_reward"],
-            rows,
-        )
+        write_csv(Path(args.out), EVALUATE_COLUMNS, rows)
     slowdowns = [r["avg_slowdown"] for r in rows if r["avg_slowdown"] is not None]
     print(
         json.dumps(
@@ -210,27 +193,18 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     raw = load_harness_config(args.config)
-    section = dict(raw.get("experiment") or {})
+    overrides = {}
     if args.policies:
-        section["policies"] = args.policies.split(",")
+        overrides["policies"] = args.policies.split(",")
     if args.rates:
-        section["job_rates"] = [float(r) for r in args.rates.split(",")]
+        overrides["job_rates"] = [float(r) for r in args.rates.split(",")]
     if args.seeds:
-        section["seeds"] = [int(s) for s in args.seeds.split(",")]
+        overrides["seeds"] = [int(s) for s in args.seeds.split(",")]
     if args.episodes is not None:
-        section["episodes"] = args.episodes
-    spec = _dataclass_from_section(
-        ExperimentSpec,
-        {
-            **section,
-            "env": _env_config(raw),
-            "workload": _workload_spec(raw),
-            "agent": _agent_config(raw),
-            **({"checkpoint": args.checkpoint} if args.checkpoint else {}),
-        },
-        "experiment",
-    )
-    run_experiment(spec, args.out)
+        overrides["episodes"] = args.episodes
+    if args.checkpoint:
+        overrides["checkpoint"] = args.checkpoint
+    run_experiment(_experiment_spec(raw, **overrides), args.out)
     print(json.dumps({"out": str(args.out)}, sort_keys=True))
     return 0
 

@@ -5,21 +5,26 @@ typos fail loudly instead of silently running with defaults.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError
 
-ENV_CONFIG_KEYS = (
-    "horizon",
-    "capacities",
-    "queue_slots",
-    "backlog_size",
-    "episode_limit",
-    "resources",
-)
+
+def _tuple_of(convert):
+    return lambda values: tuple(convert(v) for v in values)
+
+
+ENV_CONFIG_CONVERTERS = {
+    "horizon": int,
+    "capacities": _tuple_of(int),
+    "queue_slots": int,
+    "backlog_size": int,
+    "episode_limit": int,
+    "resources": _tuple_of(str),
+}
 
 
 @dataclass(frozen=True)
@@ -69,25 +74,31 @@ class EnvConfig:
 def env_config_from_dict(raw: dict) -> EnvConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"expected a mapping, got {type(raw).__name__}")
-    unknown = set(raw) - set(ENV_CONFIG_KEYS)
+    unknown = set(raw) - set(ENV_CONFIG_CONVERTERS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(raw)
-    if "capacities" in kwargs:
-        kwargs["capacities"] = tuple(int(c) for c in kwargs["capacities"])
-    if "resources" in kwargs:
-        kwargs["resources"] = tuple(str(r) for r in kwargs["resources"])
-    for key in ("horizon", "queue_slots", "backlog_size", "episode_limit"):
-        if key in kwargs:
-            kwargs[key] = int(kwargs[key])
+    kwargs = {}
+    for key, value in raw.items():
+        try:
+            kwargs[key] = ENV_CONFIG_CONVERTERS[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"env key {key!r}: {exc}") from None
     return EnvConfig(**kwargs)
+
+
+def read_yaml(path: str | Path):
+    """Parse a YAML file; a syntax error becomes a ConfigError naming the file."""
+    with open(path) as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: invalid YAML: {exc}") from None
 
 
 def load_env_config(path: str | Path) -> EnvConfig:
     """Read an EnvConfig from a YAML file holding either the bare key set or
     a top-level `env:` section (the harness config file layout)."""
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    raw = read_yaml(path)
     if raw is None:
         return EnvConfig()
     if isinstance(raw, dict) and "env" in raw:

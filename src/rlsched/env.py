@@ -1,11 +1,16 @@
 """Discrete-time cluster simulator.
 
-The cluster is an occupancy image: per resource, a grid of `horizon` rows
-(time steps into the future, row 0 = now) by `capacity` unit-cell columns.
-Scheduling a job reserves `demand[r]` cells per row over `duration`
-consecutive rows starting at the earliest feasible offset; cells need not be
-contiguous. Time advances one row at a time, only on void or no-op actions,
-so several jobs can be packed within a single step.
+The cluster is an occupancy image: per resource, `horizon` rows (time steps
+into the future, row 0 = now) by `capacity` unit-cell columns. Scheduling a
+job reserves `demand[r]` units per row over `duration` consecutive rows
+starting at the earliest feasible offset. Time advances one row at a time,
+only on void or no-op actions, so several jobs can be packed within a single
+step.
+
+Placement always takes a row's lowest free cells, and a row is freed only
+when it scrolls off the top of the image, so every row is a filled prefix.
+The image is therefore stored as used units per (row, resource) and drawn
+as cells only when the observation is encoded.
 """
 from __future__ import annotations
 
@@ -17,9 +22,7 @@ from collections import deque
 import numpy as np
 
 from .config import EnvConfig
-from .errors import ConfigError, InvalidActionError
-
-FREE = -1  # occupancy-grid sentinel; job ids are >= 0
+from .errors import ConfigError, EpisodeFinished, InvalidActionError
 
 
 @dataclass
@@ -39,7 +42,6 @@ class Job:
 
 @dataclass
 class StepOutcome:
-    observation: np.ndarray
     reward: float
     done: bool
     info: dict
@@ -74,51 +76,44 @@ def validate_job(job: Job, config: EnvConfig) -> None:
 
 
 class ClusterImage:
-    """Per-resource occupancy grids over the look-ahead horizon."""
+    """Used units per (row, resource) over the look-ahead horizon.
+
+    Each count stands for a filled prefix of the row's cells (see the module
+    docstring), so the counts alone determine the drawn image.
+    """
 
     def __init__(self, config: EnvConfig):
         self.config = config
-        self.grids = [
-            np.full((config.horizon, cap), FREE, dtype=np.int64)
-            for cap in config.capacities
-        ]
+        self.used = np.zeros((config.horizon, config.num_resources), dtype=np.int64)
 
     def free_counts(self) -> np.ndarray:
         """(horizon, num_resources) array of free cells per row."""
-        return np.stack([(g == FREE).sum(axis=1) for g in self.grids], axis=1)
+        return np.subtract(self.config.capacities, self.used)
 
-    def fits_at(self, job: Job, offset: int) -> bool:
-        if offset < 0 or offset + job.duration > self.config.horizon:
-            return False
-        free = self.free_counts()
-        rows = slice(offset, offset + job.duration)
-        return all(
-            free[rows, r].min() >= d for r, d in enumerate(job.demand) if d > 0
+    def _window_fits(self, job: Job, offset: int) -> bool:
+        """Whether the job's rows from `offset` on lie within the horizon and
+        have room for its demand; callers keep `offset` non-negative."""
+        window = self.used[offset : offset + job.duration]
+        return len(window) == job.duration and bool(
+            (window + job.demand <= self.config.capacities).all()
         )
 
+    def fits_at(self, job: Job, offset: int) -> bool:
+        return offset >= 0 and self._window_fits(job, offset)
+
     def earliest_offset(self, job: Job) -> int | None:
-        free = self.free_counts()
-        for offset in range(self.config.horizon - job.duration + 1):
-            rows = slice(offset, offset + job.duration)
-            if all(free[rows, r].min() >= d for r, d in enumerate(job.demand) if d > 0):
-                return offset
-        return None
+        starts = range(self.config.horizon - job.duration + 1)
+        return next((o for o in starts if self._window_fits(job, o)), None)
 
     def place(self, job: Job, offset: int) -> None:
-        # lowest-index free cells per row keep placement deterministic
-        for r, d in enumerate(job.demand):
-            if d == 0:
-                continue
-            grid = self.grids[r]
-            for row in range(offset, offset + job.duration):
-                cols = np.flatnonzero(grid[row] == FREE)[:d]
-                assert len(cols) == d, "placement on insufficient free cells"
-                grid[row, cols] = job.id
+        assert offset >= 0 and self._window_fits(job, offset), (
+            "placement exceeds capacity"
+        )
+        self.used[offset : offset + job.duration] += job.demand
 
     def shift_up(self) -> None:
-        for grid in self.grids:
-            grid[:-1] = grid[1:]
-            grid[-1] = FREE
+        self.used[:-1] = self.used[1:]
+        self.used[-1] = 0
 
 
 class ClusterEnv:
@@ -136,9 +131,9 @@ class ClusterEnv:
 
     # -- episode lifecycle ---------------------------------------------------
 
-    def reset(self, jobs, seed: int = 0) -> "ClusterEnv":
+    def reset(self, jobs) -> "ClusterEnv":
         """Start an episode over `jobs` (sorted by arrival; copied, so the
-        caller's list is never mutated). Deterministic in (config, jobs, seed)."""
+        caller's list is never mutated). Deterministic in (config, jobs)."""
         config = self.config
         incoming = [j.fresh_copy() for j in jobs]
         for job in incoming:
@@ -147,7 +142,6 @@ class ClusterEnv:
         if len({j.id for j in incoming}) != len(incoming):
             raise ConfigError("duplicate job ids in sequence")
 
-        self.rng = np.random.default_rng(seed)
         self.jobs = incoming
         self.clock = 0
         self.image = ClusterImage(config)
@@ -243,7 +237,7 @@ class ClusterEnv:
         if not isinstance(action, (int, np.integer)) or action < 0 or action > n:
             raise InvalidActionError(f"action must be in [0, {n}], got {action!r}")
         if self.is_done():
-            raise RuntimeError("step() called on a finished episode")
+            raise EpisodeFinished("step() called on a finished episode")
 
         reward = 0.0
         completions: list[Job] = []
@@ -260,7 +254,6 @@ class ClusterEnv:
                 reward, completions = self.advance_time()
 
         return StepOutcome(
-            observation=self.encode_state(),
             reward=reward,
             done=self.is_done(),
             info={"jobs_completed": len(completions), "invalid_action": invalid},
@@ -286,25 +279,21 @@ class ClusterEnv:
         """Fixed-shape 2-D image: per resource, the cluster occupancy block
         followed by one block per queue slot (job footprint drawn top-left),
         then a unary column-major backlog counter."""
-        cfg = self.config
-        h = cfg.horizon
-        blocks = []
-        for r, cap in enumerate(cfg.capacities):
-            blocks.append((self.image.grids[r] != FREE).astype(np.float32))
+        h = self.config.horizon
+        image = np.zeros(self.observation_shape(), dtype=np.float32)
+        col = 0
+        for r, cap in enumerate(self.config.capacities):
+            image[:, col : col + cap] = np.arange(cap) < self.image.used[:, r, None]
+            col += cap
             for job in self.queue:
-                block = np.zeros((h, cap), dtype=np.float32)
                 if job is not None:
-                    block[: job.duration, : job.demand[r]] = 1.0
-                blocks.append(block)
-        width = self.backlog_block_width()
-        backlog_block = np.zeros((h, width), dtype=np.float32)
-        count = len(self.backlog)
-        full, rem = divmod(count, h)
-        backlog_block[:, :full] = 1.0
-        if rem and full < width:
-            backlog_block[:rem, full] = 1.0
-        blocks.append(backlog_block)
-        return np.hstack(blocks)
+                    image[: job.duration, col : col + job.demand[r]] = 1.0
+                col += cap
+        full, rem = divmod(len(self.backlog), h)
+        image[:, col : col + full] = 1.0
+        if rem:
+            image[:rem, col + full] = 1.0
+        return image
 
     # -- introspection helpers (used by baselines, metrics, and tests) --------
 
@@ -323,6 +312,6 @@ class ClusterEnv:
         return self.image.free_counts()[0].astype(np.float64)
 
 
-def reset(config: EnvConfig, jobs, seed: int = 0) -> ClusterEnv:
+def reset(config: EnvConfig, jobs) -> ClusterEnv:
     """Build and initialize an environment in one call."""
-    return ClusterEnv(config).reset(jobs, seed)
+    return ClusterEnv(config).reset(jobs)

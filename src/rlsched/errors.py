@@ -14,6 +14,10 @@ class InvalidActionError(RlschedError):
     """Action index outside [0, queue_slots]."""
 
 
+class EpisodeFinished(RlschedError):
+    """step() called after the episode has ended."""
+
+
 class SpecError(RlschedError):
     """Invalid workload specification."""
 

@@ -105,8 +105,11 @@ def _build_policy(kind: str, spec: ExperimentSpec, env: ClusterEnv,
     return make_policy(kind, lam_short=spec.lam_short)
 
 
-def _run_cell(spec: ExperimentSpec, policy_kind: str, rate: float,
-              rate_index: int, seed: int) -> list[dict]:
+def run_cell(spec: ExperimentSpec, policy_kind: str, rate_index: int,
+             seed: int) -> list[dict]:
+    """One (policy, rate, seed) cell: one row per episode, with the columns
+    of EPISODE_COLUMNS. The rate is spec.job_rates[rate_index]."""
+    rate = spec.job_rates[rate_index]
     env = ClusterEnv(spec.env)
     policy = _build_policy(policy_kind, spec, env, seed, rate_index)
     rows = []
@@ -115,7 +118,7 @@ def _run_cell(spec: ExperimentSpec, policy_kind: str, rate: float,
         jobs = generate(
             dataclasses.replace(spec.workload, rate=rate, seed=wseed), spec.env
         )
-        env.reset(jobs, seed=wseed)
+        env.reset(jobs)
         report = run_greedy(policy, env, gamma=spec.gamma)
         rows.append(
             {
@@ -170,7 +173,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path):
             for seed in spec.seeds:
                 cell = {"policy": policy_kind, "job_rate": rate, "seed": seed}
                 try:
-                    rows = _run_cell(spec, policy_kind, rate, rate_index, seed)
+                    rows = run_cell(spec, policy_kind, rate_index, seed)
                 except Exception as exc:  # flush partial results before raising
                     cells.append({**cell, "status": "incomplete"})
                     error = exc
@@ -184,11 +187,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path):
         if error:
             break
 
-    _write_csv(out_dir / "episodes.csv", EPISODE_COLUMNS, episode_rows)
+    write_csv(out_dir / "episodes.csv", EPISODE_COLUMNS, episode_rows)
     summary_columns = ["policy", "job_rate", "seed", "episodes", "window"]
     for metric in SUMMARY_METRICS:
         summary_columns += [f"{metric}_mean", f"{metric}_std"]
-    _write_csv(out_dir / "summary.csv", summary_columns, summary_rows)
+    write_csv(out_dir / "summary.csv", summary_columns, summary_rows)
     manifest = {
         "version": __version__,
         "config_hash": config_hash(spec),
@@ -203,7 +206,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path):
     return episode_rows, summary_rows
 
 
-def _write_csv(path: Path, columns, rows) -> None:
+def write_csv(path: Path, columns, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)

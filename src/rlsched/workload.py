@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import EnvConfig
 from .env import Job
-from .errors import ParseError, SpecError, ValidationError
+from .errors import ConfigError, ParseError, SpecError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,14 @@ class WorkloadSpec:
 
 
 def _check_range(name: str, rng: tuple[int, int], low: int) -> None:
-    lo, hi = rng
-    if lo > hi:
-        raise SpecError(f"{name} is empty: {rng}")
-    if lo < low:
-        raise SpecError(f"{name} must start at >= {low}, got {rng}")
+    try:
+        lo, hi = rng
+        if lo > hi:
+            raise SpecError(f"{name} is empty: {rng}")
+        if lo < low:
+            raise SpecError(f"{name} must start at >= {low}, got {rng}")
+    except (TypeError, ValueError):
+        raise SpecError(f"{name} must be a [low, high] pair, got {rng!r}") from None
 
 
 def validate_spec(spec: WorkloadSpec, config: EnvConfig | None = None) -> None:
@@ -131,7 +134,7 @@ def load_trace(
     """
     mapping = mapping or TraceMapping()
     if time_scale <= 0:
-        raise ValueError(f"time_scale must be positive, got {time_scale}")
+        raise ConfigError(f"time_scale must be positive, got {time_scale}")
     if len(mapping.demand_columns) != config.num_resources:
         raise ParseError(
             f"mapping names {len(mapping.demand_columns)} demand columns, "
@@ -181,6 +184,11 @@ def load_trace(
             raise ValidationError("demand must be positive somewhere", job_id=job_id)
         arrival = math.floor(arrival_raw / time_scale)
         duration = math.ceil(duration_raw / time_scale)
+        if duration > config.horizon:
+            raise ValidationError(
+                f"duration {duration} steps exceeds horizon {config.horizon}",
+                job_id=job_id,
+            )
         jobs.append(Job(id=job_id, arrival=arrival, duration=duration, demand=demand))
 
     if jobs:

@@ -335,7 +335,7 @@ def test_train_single_job_reaches_optimum():
     config = AgentConfig(lr_actor=0.01, lr_critic=0.01, n_steps=3)
     _, agent = train(cfg, [jobs], config, episodes=150, seed=1)
     env = ClusterEnv(cfg)
-    run = run_episode(env, agent, jobs, seed=0, learn=False, mode="greedy")
+    run = run_episode(env, agent, jobs, learn=False, mode="greedy")
     assert run.report.avg_slowdown == pytest.approx(1.0)
     assert run.report.completed_count == 1
 

@@ -126,6 +126,45 @@ def test_unknown_config_key_fails_with_json_error(tmp_path, capsys):
     assert "horizons" in payload["message"]
 
 
+def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
+    sweep_out = tmp_path / "results"
+    assert main(["sweep", "--config", config_path, "--out", str(sweep_out),
+                 "--policies", "random", "--rates", "0.7", "--seeds", "1",
+                 "--episodes", "3"]) == 0
+    eval_out = tmp_path / "eval.csv"
+    assert main(["evaluate", "--config", config_path, "--policy", "random",
+                 "--rate", "0.7", "--seed", "1", "--episodes", "3",
+                 "--out", str(eval_out)]) == 0
+    capsys.readouterr()
+    with open(sweep_out / "episodes.csv") as fh:
+        swept = list(csv.DictReader(fh))
+    with open(eval_out) as fh:
+        evaluated = list(csv.DictReader(fh))
+    assert len(evaluated) == 3
+    assert evaluated == [{k: row[k] for k in evaluated[0]} for row in swept]
+
+
+@pytest.mark.parametrize(
+    "text, error, fragment",
+    [
+        ("env: {horizon: abc}\n", "ConfigError", "horizon"),
+        ("env: {horizon: [8\n", "ConfigError", "bad.yaml"),
+        ("workload: {small_duration_range: 5}\n", "SpecError",
+         "small_duration_range"),
+    ],
+    ids=["non-integer-env-value", "malformed-yaml", "non-pair-range"],
+)
+def test_malformed_config_value_fails_with_json_error(tmp_path, capsys, text,
+                                                      error, fragment):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == error
+    assert fragment in payload["message"]
+
+
 def test_missing_results_dir_fails_cleanly(tmp_path, capsys):
     code = main(["plot-data", "--results", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "p")])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rlsched.config import EnvConfig
-from rlsched.env import FREE, ClusterEnv, Job, reset
-from rlsched.errors import ConfigError, InvalidActionError
+from rlsched.env import ClusterEnv, Job, reset
+from rlsched.errors import ConfigError, EpisodeFinished, InvalidActionError
 
 
 def make_env(**overrides):
@@ -21,7 +22,7 @@ def test_reset_empty_sequence():
     env = make_env().reset([])
     assert all(j is None for j in env.queue)
     assert not env.backlog
-    assert all((g == FREE).all() for g in env.image.grids)
+    assert not env.image.used.any()
     assert env.is_done()  # vacuously: zero jobs, all completed
 
 
@@ -34,8 +35,8 @@ def test_reset_overflow_to_backlog():
 
 def test_reset_deterministic():
     jobs = [job(i, arrival=i % 3, duration=2 + i % 4, demand=(2, 1)) for i in range(9)]
-    a = make_env().reset(jobs, seed=7)
-    b = make_env().reset(jobs, seed=7)
+    a = make_env().reset(jobs)
+    b = make_env().reset(jobs)
     assert np.array_equal(a.encode_state(), b.encode_state())
     assert [j.id for j in a.backlog] == [j.id for j in b.backlog]
 
@@ -140,7 +141,7 @@ def test_out_of_range_action_raises():
 
 def test_step_on_finished_episode_raises():
     env = make_env().reset([])
-    with pytest.raises(RuntimeError):
+    with pytest.raises(EpisodeFinished):
         env.step(0)
 
 
@@ -312,11 +313,77 @@ def test_encoding_decodes_to_free_counts():
             assert np.array_equal(10 - block.sum(axis=1), free[:, r])
 
 
+@st.composite
+def scenarios(draw):
+    cfg = EnvConfig(
+        horizon=draw(st.integers(2, 7)),
+        capacities=tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=2))),
+        queue_slots=draw(st.integers(1, 3)),
+        backlog_size=draw(st.integers(0, 4)),
+    )
+    jobs = []
+    for i in range(draw(st.integers(1, 10))):
+        demand = tuple(draw(st.integers(0, cap)) for cap in cfg.capacities)
+        if not any(demand):
+            demand = (1,) + demand[1:]
+        jobs.append(job(i, arrival=draw(st.integers(0, 6)),
+                        duration=draw(st.integers(1, cfg.horizon)), demand=demand))
+    actions = draw(st.lists(st.integers(0, cfg.queue_slots), max_size=40))
+    return cfg, jobs, actions
+
+
+def reference_use(env):
+    """Used units per (row, resource), rebuilt from the running jobs' records."""
+    used = np.zeros((env.config.horizon, env.config.num_resources), dtype=int)
+    for j in env.running:
+        lo = j.started_at - env.clock
+        used[max(lo, 0) : max(lo + j.duration, 0)] += j.demand
+    return used
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios())
+def test_fit_search_and_encoding_match_job_records(scenario):
+    cfg, jobs, actions = scenario
+    env = ClusterEnv(cfg).reset(jobs)
+    h = cfg.horizon
+    offsets = range(-1, h + 1)
+
+    def check():
+        used = reference_use(env)
+        for _, queued in env.queued_jobs():
+            fits = [
+                0 <= o <= h - queued.duration and all(
+                    used[o + k, r] + d <= cap
+                    for k in range(queued.duration)
+                    for r, (d, cap) in enumerate(zip(queued.demand, cfg.capacities))
+                )
+                for o in offsets
+            ]
+            assert [env.image.fits_at(queued, o) for o in offsets] == fits
+            first = offsets[fits.index(True)] if True in fits else None
+            assert env.image.earliest_offset(queued) == first
+        obs = env.encode_state()
+        col = 0
+        for r, cap in enumerate(cfg.capacities):
+            for row in range(h):
+                for cell in range(cap):
+                    assert obs[row, col + cell] == (cell < used[row, r])
+            col += cap * (1 + cfg.queue_slots)
+
+    check()
+    for action in actions:
+        if env.is_done():
+            break
+        env.step(action)
+        check()
+
+
 # -- module-level reset helper -----------------------------------------------------
 
 
 def test_reset_function_returns_initialized_env():
-    env = reset(EnvConfig(), [job(0)], seed=3)
+    env = reset(EnvConfig(), [job(0)])
     assert env.queue[0].id == 0
 
 
@@ -346,13 +413,13 @@ def test_trajectory_determinism_bit_exact():
     actions = [int(rng.integers(0, 6)) for _ in range(200)]
 
     def rollout():
-        env = ClusterEnv(cfg).reset(jobs, seed=1)
+        env = ClusterEnv(cfg).reset(jobs)
         trace = []
         for a in actions:
             if env.is_done():
                 break
             out = env.step(a)
-            trace.append((out.reward, out.done, out.observation.tobytes()))
+            trace.append((out.reward, out.done, env.encode_state().tobytes()))
         return trace
 
     assert rollout() == rollout()

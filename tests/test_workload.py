@@ -4,7 +4,7 @@ import pytest
 
 from rlsched.config import EnvConfig
 from rlsched.env import Job
-from rlsched.errors import ParseError, SpecError, ValidationError
+from rlsched.errors import ConfigError, ParseError, SpecError, ValidationError
 from rlsched.workload import (
     TraceMapping,
     WorkloadSpec,
@@ -146,6 +146,24 @@ def test_trace_zero_duration_rejected(tmp_path):
     )
     with pytest.raises(ValidationError):
         load_trace(path, EnvConfig())
+
+
+def test_trace_duration_beyond_horizon_rejected_at_load(tmp_path):
+    # 61 s at 10 s per step quantizes to 7 steps, one more than the horizon
+    path = write(
+        tmp_path,
+        "job_id,arrival_time,duration,cpu_req,mem_req\n1,0,60,2,1\n5,0,61,2,1\n",
+    )
+    with pytest.raises(ValidationError) as err:
+        load_trace(path, EnvConfig(horizon=6), time_scale=10.0)
+    assert err.value.job_id == 5
+    assert "horizon" in str(err.value)
+
+
+def test_trace_nonpositive_time_scale_rejected(tmp_path):
+    path = write(tmp_path, "job_id,arrival_time,duration,cpu_req,mem_req\n")
+    with pytest.raises(ConfigError):
+        load_trace(path, EnvConfig(), time_scale=0)
 
 
 def test_trace_duplicate_ids_rejected(tmp_path):
