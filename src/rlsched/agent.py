@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 from .config import EnvConfig
 from .env import ClusterEnv
 from .errors import ConfigError, TrainingDiverged
-from .metrics import EpisodeReport, episode_report
+from .metrics import episode_report, format_cell
 from .nn import Network, conv3, dense, flatten, maxpool2, softmax
 from .nn.checkpoint import load_params, save_params
 
@@ -236,28 +235,16 @@ class ActorCriticAgent:
     # -- persistence -----------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
-        """Checkpoint: one parameter file per network plus the agent config."""
+        """Checkpoint: one parameter file per network."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         save_params(self.actor, directory / "actor.npz")
         save_params(self.critic, directory / "critic.npz")
-        with open(directory / "agent.json", "w") as fh:
-            json.dump(dataclasses.asdict(self.config), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
 
     def load(self, directory: str | Path) -> None:
+        """Load a checkpoint; each file's architecture fingerprint must match
+        the network it is loaded into."""
         directory = Path(directory)
-        meta_path = directory / "agent.json"
-        if meta_path.exists():
-            with open(meta_path) as fh:
-                stored = json.load(fh)
-            if stored.get("architecture") != self.config.architecture:
-                raise ConfigError(
-                    f"checkpoint was trained with architecture "
-                    f"{stored.get('architecture')!r}, agent uses "
-                    f"{self.config.architecture!r}"
-                )
         load_params(self.actor, directory / "actor.npz")
         load_params(self.critic, directory / "critic.npz")
 
@@ -283,15 +270,6 @@ class EpisodeRecord:
 TRAINING_LOG_COLUMNS = [f.name for f in dataclasses.fields(EpisodeRecord)]
 
 
-@dataclass
-class EpisodeRun:
-    report: EpisodeReport
-    diagnostics: dict
-    steps: int
-    updates: int
-    total_reward: float
-
-
 class _LogWriter:
     """Append-only CSV training log, one row per episode."""
 
@@ -300,19 +278,10 @@ class _LogWriter:
         self.writer = csv.writer(self.fh)
         self.writer.writerow(TRAINING_LOG_COLUMNS)
 
-    def write(self, record: "EpisodeRecord") -> None:
-        row = []
-        for name in TRAINING_LOG_COLUMNS:
-            value = getattr(record, name)
-            if value is None:
-                row.append("")
-            elif isinstance(value, bool):
-                row.append(int(value))
-            elif isinstance(value, float):
-                row.append(f"{value:.10g}")
-            else:
-                row.append(value)
-        self.writer.writerow(row)
+    def write(self, record: EpisodeRecord) -> None:
+        self.writer.writerow(
+            [format_cell(getattr(record, name)) for name in TRAINING_LOG_COLUMNS]
+        )
         self.fh.flush()
 
     def close(self) -> None:
@@ -320,9 +289,9 @@ class _LogWriter:
 
 
 def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs,
-                learn: bool = True, mode: str | None = None) -> EpisodeRun:
-    """Roll one episode; when learning, update every n_steps and at episode
-    end, whichever comes first."""
+                episode: int) -> EpisodeRecord:
+    """Roll one training episode, updating both networks every n_steps and
+    at episode end, whichever comes first."""
     cfg = agent.config
     env.reset(jobs)
     obs = env.encode_state()
@@ -331,30 +300,39 @@ def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs,
     sums = {"actor_loss": 0.0, "critic_loss": 0.0, "entropy": 0.0,
             "mean_advantage": 0.0}
     updates = 0
-    steps = 0
     while not env.is_done():
-        action = agent.act(obs, mode=mode)
+        action = agent.act(obs)
         outcome = env.step(action)
         next_obs = env.encode_state()
         rewards.append(outcome.reward)
-        steps += 1
-        if learn:
-            segment.append(
-                Transition(obs, action, outcome.reward, next_obs, outcome.done)
-            )
-            if len(segment) >= cfg.n_steps or outcome.done:
-                diag = agent.update(segment)
-                for key in sums:
-                    sums[key] += diag[key]
-                updates += 1
-                segment = []
+        segment.append(
+            Transition(obs, action, outcome.reward, next_obs, outcome.done)
+        )
+        if len(segment) >= cfg.n_steps or outcome.done:
+            diag = agent.update(segment)
+            for key in sums:
+                sums[key] += diag[key]
+            updates += 1
+            segment = []
         obs = next_obs
     report = episode_report(env.completed, rewards, cfg.gamma,
                             total_jobs=len(env.jobs))
     if updates:
         for key in sums:
             sums[key] /= updates
-    return EpisodeRun(report, sums, steps, updates, float(sum(rewards)))
+    return EpisodeRecord(
+        episode=episode,
+        steps=len(rewards),
+        updates=updates,
+        total_reward=float(sum(rewards)),
+        discounted_reward=report.total_discounted_reward,
+        avg_slowdown=report.avg_slowdown,
+        avg_completion_time=report.avg_completion_time,
+        avg_waiting_time=report.avg_waiting_time,
+        completed=report.completed_count,
+        truncated=report.truncated,
+        **sums,
+    )
 
 
 def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
@@ -369,6 +347,12 @@ def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
     """
     if not sequences:
         raise ConfigError("need at least one job sequence to train on")
+    if episodes < 0:
+        raise ConfigError(f"episodes must be >= 0, got {episodes}")
+    if checkpoint_every < 0:
+        raise ConfigError(
+            f"checkpoint_every must be >= 0, got {checkpoint_every}"
+        )
     env = ClusterEnv(env_config)
     if agent is None:
         agent = ActorCriticAgent(
@@ -383,26 +367,9 @@ def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
         for episode in range(episodes):
             jobs = sequences[episode % len(sequences)]
             try:
-                run = run_episode(env, agent, jobs, learn=True)
+                record = run_episode(env, agent, jobs, episode)
             except TrainingDiverged as exc:
                 raise TrainingDiverged(str(exc), episode=episode) from exc
-            report, diag = run.report, run.diagnostics
-            record = EpisodeRecord(
-                episode=episode,
-                steps=run.steps,
-                updates=run.updates,
-                total_reward=run.total_reward,
-                discounted_reward=report.total_discounted_reward,
-                avg_slowdown=report.avg_slowdown,
-                avg_completion_time=report.avg_completion_time,
-                avg_waiting_time=report.avg_waiting_time,
-                completed=report.completed_count,
-                truncated=report.truncated,
-                actor_loss=diag["actor_loss"],
-                critic_loss=diag["critic_loss"],
-                entropy=diag["entropy"],
-                mean_advantage=diag["mean_advantage"],
-            )
             records.append(record)
             if writer:
                 writer.write(record)

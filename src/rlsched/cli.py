@@ -10,14 +10,15 @@ import argparse
 import dataclasses
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .agent import AgentConfig, train
-from .baselines import run_greedy
-from .config import EnvConfig, env_config_from_dict, read_yaml
+from .baselines import make_policy, run_greedy
+from .config import EnvConfig, from_section, read_yaml
 from .env import ClusterEnv
 from .errors import ConfigError, RlschedError
 from .experiment import (
@@ -30,16 +31,25 @@ from .experiment import (
 )
 from .workload import WorkloadSpec, generate
 
-CONFIG_SECTIONS = ("env", "workload", "agent", "experiment", "train", "trace")
+CONFIG_SECTIONS = ("env", "workload", "agent", "experiment", "train")
 
-TRAIN_DEFAULTS = {"episodes": 500, "sequences": 1, "checkpoint_every": 0}
-TRACE_DEFAULTS = {"time_scale": 1.0}
 # `evaluate --out` writes the sweep's episode columns without the cell keys
 EVALUATE_COLUMNS = EPISODE_COLUMNS[EPISODE_COLUMNS.index("episode"):]
 
 
+@dataclass(frozen=True)
+class TrainSpec:
+    """The `train` section: episode count, number of fixed job sequences
+    cycled during training, and checkpoint period (0 = final only)."""
+
+    episodes: int = 500
+    sequences: int = 1
+    checkpoint_every: int = 0
+
+
 def load_harness_config(path: str | None) -> dict:
-    """Read the harness config file; sections and keys are strictly checked."""
+    """Read the harness config file; unknown sections are rejected here, and
+    each section is checked when `from_section` builds it."""
     raw = {}
     if path:
         raw = read_yaml(path) or {}
@@ -51,49 +61,22 @@ def load_harness_config(path: str | None) -> dict:
     return raw
 
 
-def _dataclass_from_section(cls, section: dict | None, what: str):
-    section = dict(section or {})
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(section) - names
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    for key, value in section.items():
-        if isinstance(value, list):
-            section[key] = tuple(value)
-    return cls(**section)
-
-
-def _env_config(raw: dict) -> EnvConfig:
-    return env_config_from_dict(raw.get("env", {}))
-
-
-def _workload_spec(raw: dict, rate=None) -> WorkloadSpec:
-    spec = _dataclass_from_section(WorkloadSpec, raw.get("workload"), "workload")
-    if rate is not None:
-        spec = dataclasses.replace(spec, rate=rate)
-    return spec
-
-
-def _agent_config(raw: dict, arch=None) -> AgentConfig:
-    cfg = _dataclass_from_section(AgentConfig, raw.get("agent"), "agent")
-    if arch is not None:
-        cfg = dataclasses.replace(cfg, architecture=arch)
-    return cfg
-
-
 def _experiment_spec(raw: dict, **overrides) -> ExperimentSpec:
-    """The config's experiment section with `overrides` on top."""
-    return _dataclass_from_section(
-        ExperimentSpec,
-        {
-            **(raw.get("experiment") or {}),
-            **overrides,
-            "env": _env_config(raw),
-            "workload": _workload_spec(raw),
-            "agent": _agent_config(raw),
-        },
-        "experiment",
+    """The config's experiment section with `overrides` on top, and the env,
+    workload and agent sections nested in."""
+    spec = from_section(ExperimentSpec, raw.get("experiment"), "experiment",
+                        **overrides)
+    return dataclasses.replace(
+        spec,
+        env=from_section(EnvConfig, raw.get("env"), "env"),
+        workload=from_section(WorkloadSpec, raw.get("workload"), "workload"),
+        agent=from_section(AgentConfig, raw.get("agent"), "agent"),
     )
+
+
+def _split(flag: str | None):
+    """A comma-separated flag as a list, or None when it was not given."""
+    return flag.split(",") if flag else None
 
 
 def _sequence_seed(seed: int, index: int) -> int:
@@ -114,36 +97,33 @@ def _training_sequences(env_cfg, workload, count, seed):
 
 def cmd_train(args) -> int:
     raw = load_harness_config(args.config)
-    env_cfg = _env_config(raw)
-    train_cfg = {**TRAIN_DEFAULTS, **(raw.get("train") or {})}
-    episodes = args.episodes if args.episodes is not None else train_cfg["episodes"]
-    workload = _workload_spec(raw, rate=args.rate)
-    agent_cfg = _agent_config(raw, arch=args.arch)
-    sequences = _training_sequences(
-        env_cfg, workload, int(train_cfg["sequences"]), args.seed
-    )
+    env_cfg = from_section(EnvConfig, raw.get("env"), "env")
+    spec = from_section(TrainSpec, raw.get("train"), "train",
+                        episodes=args.episodes)
+    workload = from_section(WorkloadSpec, raw.get("workload"), "workload",
+                            rate=args.rate)
+    agent_cfg = from_section(AgentConfig, raw.get("agent"), "agent",
+                             architecture=args.arch)
+    sequences = _training_sequences(env_cfg, workload, spec.sequences, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records, agent = train(
         env_cfg,
         sequences,
         agent_cfg,
-        episodes=episodes,
+        episodes=spec.episodes,
         seed=args.seed,
         checkpoint_dir=out / "checkpoints",
-        checkpoint_every=int(train_cfg["checkpoint_every"]),
+        checkpoint_every=spec.checkpoint_every,
         log_path=out / "training_log.csv",
     )
 
     env = ClusterEnv(env_cfg)
+    policy = make_policy("a2c", agent=agent)
     eval_rows = []
     for jobs in sequences:
         env.reset(jobs)
-        report = run_greedy(
-            lambda e: agent.act(e.encode_state(), mode="greedy"),
-            env,
-            gamma=agent_cfg.gamma,
-        )
+        report = run_greedy(policy, env, gamma=agent_cfg.gamma)
         eval_rows.append(report.avg_slowdown)
     greedy = [s for s in eval_rows if s is not None]
     print(
@@ -171,7 +151,7 @@ def cmd_evaluate(args) -> int:
         seeds=(args.seed,),
         episodes=args.episodes,
         summary_window=args.episodes,
-        **({"checkpoint": args.checkpoint} if args.checkpoint else {}),
+        checkpoint=args.checkpoint,
     )
     rows = run_cell(spec, args.policy, 0, args.seed)
     if args.out:
@@ -193,18 +173,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     raw = load_harness_config(args.config)
-    overrides = {}
-    if args.policies:
-        overrides["policies"] = args.policies.split(",")
-    if args.rates:
-        overrides["job_rates"] = [float(r) for r in args.rates.split(",")]
-    if args.seeds:
-        overrides["seeds"] = [int(s) for s in args.seeds.split(",")]
-    if args.episodes is not None:
-        overrides["episodes"] = args.episodes
-    if args.checkpoint:
-        overrides["checkpoint"] = args.checkpoint
-    run_experiment(_experiment_spec(raw, **overrides), args.out)
+    spec = _experiment_spec(
+        raw,
+        policies=_split(args.policies),
+        job_rates=_split(args.rates),
+        seeds=_split(args.seeds),
+        episodes=args.episodes,
+        checkpoint=args.checkpoint,
+    )
+    run_experiment(spec, args.out)
     print(json.dumps({"out": str(args.out)}, sort_keys=True))
     return 0
 

@@ -1,30 +1,19 @@
-"""Cluster/simulator configuration and its file format.
+"""Cluster/simulator configuration and the config file format.
 
-The on-disk format is YAML with a fixed key set; unknown keys are rejected so
-typos fail loudly instead of silently running with defaults.
+The on-disk format is YAML. Every section is built by `from_section`, which
+rejects unknown keys and converts each value to its field's annotated type,
+so typos and malformed values fail loudly instead of running with defaults.
 """
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError
-
-
-def _tuple_of(convert):
-    return lambda values: tuple(convert(v) for v in values)
-
-
-ENV_CONFIG_CONVERTERS = {
-    "horizon": int,
-    "capacities": _tuple_of(int),
-    "queue_slots": int,
-    "backlog_size": int,
-    "episode_limit": int,
-    "resources": _tuple_of(str),
-}
 
 
 @dataclass(frozen=True)
@@ -71,19 +60,61 @@ class EnvConfig:
         return len(self.capacities)
 
 
-def env_config_from_dict(raw: dict) -> EnvConfig:
+def _convert(tp, value):
+    """`value` as the annotated type `tp`. Raises TypeError or ValueError.
+
+    A scalar field takes a value of its type or a string that parses as one
+    (command-line flags arrive as strings); a float field also takes an int.
+    A tuple field takes a list; an optional field takes None.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            return tuple(_convert(args[0], v) for v in value)
+        if len(value) != len(args):
+            raise ValueError(f"expected {len(args)} items, got {value!r}")
+        return tuple(_convert(t, v) for t, v in zip(args, value))
+    if type(None) in args:
+        if value is None:
+            return None
+        (tp,) = [t for t in args if t is not type(None)]
+        return _convert(tp, value)
+    if dataclasses.is_dataclass(tp):
+        raise TypeError("not settable here; it has its own section")
+    allowed = (int, float) if tp is float else (tp,)
+    if isinstance(value, bool) or not isinstance(value, (str, *allowed)):
+        raise TypeError(f"expected {tp.__name__}, got {value!r}")
+    return tp(value)
+
+
+def from_section(cls, raw, section: str, **overrides):
+    """Build the dataclass `cls` from one config-file section.
+
+    `raw` is the section's mapping, or None when the section is absent.
+    `overrides` (command-line flags) are converted the same way and win over
+    the file; an override of None is a flag that was not given. Any bad key
+    or value raises a ConfigError naming the section and the key.
+    """
+    if raw is None:
+        raw = {}
     if not isinstance(raw, dict):
-        raise ConfigError(f"expected a mapping, got {type(raw).__name__}")
-    unknown = set(raw) - set(ENV_CONFIG_CONVERTERS)
+        raise ConfigError(
+            f"{section} section: expected a mapping, got {type(raw).__name__}"
+        )
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    types = typing.get_type_hints(cls)
+    given = {k: v for k, v in overrides.items() if v is not None}
     kwargs = {}
-    for key, value in raw.items():
+    for key, value in [*raw.items(), *given.items()]:
         try:
-            kwargs[key] = ENV_CONFIG_CONVERTERS[key](value)
+            kwargs[key] = _convert(types[key], value)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"env key {key!r}: {exc}") from None
-    return EnvConfig(**kwargs)
+            raise ConfigError(f"{section} key {key!r}: {exc}") from None
+    return cls(**kwargs)
 
 
 def read_yaml(path: str | Path):
@@ -99,8 +130,6 @@ def load_env_config(path: str | Path) -> EnvConfig:
     """Read an EnvConfig from a YAML file holding either the bare key set or
     a top-level `env:` section (the harness config file layout)."""
     raw = read_yaml(path)
-    if raw is None:
-        return EnvConfig()
     if isinstance(raw, dict) and "env" in raw:
         raw = raw["env"]
-    return env_config_from_dict(raw)
+    return from_section(EnvConfig, raw, "env")

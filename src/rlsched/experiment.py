@@ -23,6 +23,7 @@ from .baselines import make_policy, run_greedy
 from .config import EnvConfig
 from .env import ClusterEnv
 from .errors import ConfigError
+from .metrics import format_cell
 from .workload import WorkloadSpec, generate
 
 EPISODE_COLUMNS = (
@@ -65,16 +66,6 @@ class ExperimentSpec:
             raise ConfigError("a2c policy requires a checkpoint path")
         if self.episodes < 0:
             raise ConfigError("episodes must be >= 0")
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
 
 
 def _workload_seed(seed: int, rate_index: int, episode: int) -> int:
@@ -211,7 +202,7 @@ def write_csv(path: Path, columns, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
+            writer.writerow([format_cell(row.get(c)) for c in columns])
 
 
 # -- plot-ready series ----------------------------------------------------------

@@ -41,15 +41,17 @@ class EpisodeReport:
     completed_count: int
     truncated: bool
 
-    def as_row(self) -> dict:
-        return {
-            "avg_slowdown": self.avg_slowdown,
-            "avg_completion_time": self.avg_completion_time,
-            "avg_waiting_time": self.avg_waiting_time,
-            "total_discounted_reward": self.total_discounted_reward,
-            "completed_count": self.completed_count,
-            "truncated": int(self.truncated),
-        }
+
+def format_cell(value) -> str:
+    """One CSV cell of a result file: blank for None, 0/1 for a bool, ten
+    significant digits for a float."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    return str(value)
 
 
 def discounted_total(rewards, gamma: float) -> float:

@@ -128,13 +128,6 @@ class Network:
             shapes.append(shape)
         return shapes
 
-    @property
-    def output_width(self) -> int:
-        shape = self.shapes[-1] if self.shapes else self.input_shape
-        if len(shape) != 1:
-            raise ConfigError(f"network output is not flat: {shape}")
-        return shape[0]
-
     def fingerprint(self) -> str:
         chain = ";".join(spec.describe() for spec in self.layers)
         dims = "x".join(str(d) for d in self.input_shape)
@@ -277,9 +270,6 @@ class Network:
             if params is not None:
                 arrays.extend(params)
         return arrays
-
-    def num_parameters(self) -> int:
-        return sum(a.size for a in self.parameter_arrays())
 
     def copy(self) -> "Network":
         clone = type(self).__new__(type(self))

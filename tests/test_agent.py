@@ -7,10 +7,10 @@ from rlsched.agent import (
     Transition,
     architecture_chain,
     n_step_returns,
-    run_episode,
     td_error,
     train,
 )
+from rlsched.baselines import make_policy, run_greedy
 from rlsched.config import EnvConfig
 from rlsched.env import ClusterEnv, Job
 from rlsched.errors import ConfigError, TrainingDiverged
@@ -329,15 +329,25 @@ def test_train_deterministic_given_seed():
         assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("bad", [{"episodes": -3}, {"checkpoint_every": -1}])
+def test_train_rejects_negative_counts(tmp_path, bad):
+    kwargs = {"episodes": 2, **bad}
+    with pytest.raises(ConfigError):
+        train(small_env_config(), [[Job(0, 0, 2, (1, 1))]], AgentConfig(),
+              seed=0, checkpoint_dir=tmp_path / "ckpt", **kwargs)
+    assert not (tmp_path / "ckpt").exists()
+
+
 def test_train_single_job_reaches_optimum():
     cfg = small_env_config()
     jobs = [Job(0, 0, 2, (1, 1))]
     config = AgentConfig(lr_actor=0.01, lr_critic=0.01, n_steps=3)
     _, agent = train(cfg, [jobs], config, episodes=150, seed=1)
     env = ClusterEnv(cfg)
-    run = run_episode(env, agent, jobs, learn=False, mode="greedy")
-    assert run.report.avg_slowdown == pytest.approx(1.0)
-    assert run.report.completed_count == 1
+    env.reset(jobs)
+    report = run_greedy(make_policy("a2c", agent=agent), env)
+    assert report.avg_slowdown == pytest.approx(1.0)
+    assert report.completed_count == 1
 
 
 def test_train_divergence_carries_episode_index():

@@ -145,24 +145,47 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, error, fragment",
+    "command, text, error, fragment",
     [
-        ("env: {horizon: abc}\n", "ConfigError", "horizon"),
-        ("env: {horizon: [8\n", "ConfigError", "bad.yaml"),
-        ("workload: {small_duration_range: 5}\n", "SpecError",
+        ("sweep", "env: {horizon: abc}\n", "ConfigError", "horizon"),
+        ("sweep", "env: {horizon: [8\n", "ConfigError", "bad.yaml"),
+        ("sweep", "workload: {small_duration_range: 5}\n", "ConfigError",
          "small_duration_range"),
+        ("sweep", "agent: {n_steps: abc}\n", "ConfigError", "n_steps"),
+        ("train", "train: {episodes: abc}\n", "ConfigError", "episodes"),
+        ("sweep", "workload: {rate: abc}\n", "ConfigError", "rate"),
+        ("sweep", "experiment: {summary_window: abc}\n", "ConfigError",
+         "summary_window"),
+        ("sweep", "agent: {gamma: [1, 2]}\n", "ConfigError", "gamma"),
+        ("train", "train: {epochs: 3}\n", "ConfigError", "epochs"),
+        ("sweep", "experiment: {policies: sjf}\n", "ConfigError", "policies"),
+        ("sweep", "trace: {time_scale: -5}\n", "ConfigError", "trace"),
+        ("sweep", "experiment: {env: {horizon: 8}}\n", "ConfigError", "env"),
+        ("train", "train: {episodes: -3}\n", "ConfigError", "episodes"),
     ],
-    ids=["non-integer-env-value", "malformed-yaml", "non-pair-range"],
+    ids=["non-integer-env-value", "malformed-yaml", "non-pair-range",
+         "non-integer-agent-value", "non-integer-train-value",
+         "non-number-workload-value", "non-integer-experiment-value",
+         "list-for-scalar", "unknown-train-key", "scalar-for-list",
+         "trace-section", "experiment-sets-env", "negative-train-episodes"],
 )
-def test_malformed_config_value_fails_with_json_error(tmp_path, capsys, text,
-                                                      error, fragment):
+def test_malformed_config_value_fails_with_json_error(tmp_path, capsys, command,
+                                                      text, error, fragment):
     path = tmp_path / "bad.yaml"
     path.write_text(text)
-    code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == error
     assert fragment in payload["message"]
+
+
+def test_malformed_flag_fails_with_json_error(tmp_path, capsys):
+    code = main(["sweep", "--rates", "0.7,abc", "--out", str(tmp_path / "o")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigError"
+    assert "job_rates" in payload["message"]
 
 
 def test_missing_results_dir_fails_cleanly(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import pytest
 import yaml
 
-from rlsched.config import EnvConfig, env_config_from_dict, load_env_config
+from rlsched.config import EnvConfig, from_section, load_env_config
 from rlsched.errors import ConfigError
+from rlsched.experiment import ExperimentSpec
+from rlsched.workload import WorkloadSpec
 
 
 def test_defaults_are_consistent():
@@ -31,8 +33,47 @@ def test_invalid_configs_rejected(overrides):
 
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError) as err:
-        env_config_from_dict({"horizon": 10, "hozirons": 1})
+        from_section(EnvConfig, {"horizon": 10, "hozirons": 1}, "env")
     assert "hozirons" in str(err.value)
+
+
+def test_from_section_converts_to_field_types():
+    spec = from_section(
+        ExperimentSpec,
+        {"job_rates": [1, "0.5"], "seeds": ["3"], "checkpoint": None},
+        "experiment",
+        episodes=4,
+        checkpoint=None,
+    )
+    assert spec.job_rates == (1.0, 0.5)
+    assert type(spec.job_rates[0]) is float
+    assert spec.seeds == (3,)
+    assert spec.episodes == 4
+    assert spec.checkpoint is None
+    assert from_section(WorkloadSpec, None, "workload") == WorkloadSpec()
+
+
+@pytest.mark.parametrize(
+    "cls, raw, key",
+    [
+        (EnvConfig, {"horizon": 2.5}, "horizon"),
+        (EnvConfig, {"horizon": True}, "horizon"),
+        (EnvConfig, {"resources": [1, 2]}, "resources"),
+        (EnvConfig, {"capacities": "10"}, "capacities"),
+        (WorkloadSpec, {"small_duration_range": [1, 2, 3]}, "small_duration_range"),
+        (ExperimentSpec, {"workload": {"rate": 0.5}}, "workload"),
+    ],
+)
+def test_from_section_rejects_mistyped_values(cls, raw, key):
+    with pytest.raises(ConfigError) as err:
+        from_section(cls, raw, "section")
+    assert f"section key {key!r}" in str(err.value)
+
+
+def test_from_section_rejects_non_mapping():
+    with pytest.raises(ConfigError) as err:
+        from_section(EnvConfig, [1, 2], "env")
+    assert "env" in str(err.value)
 
 
 def test_load_from_file(tmp_path):

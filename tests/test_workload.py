@@ -69,6 +69,8 @@ def test_invalid_specs_rejected():
         generate(WorkloadSpec(small_duration_range=(3, 1)))
     with pytest.raises(SpecError):
         generate(WorkloadSpec(dominant_demand_range=(0, 2)))
+    with pytest.raises(SpecError):
+        generate(WorkloadSpec(small_duration_range=5))
 
 
 # -- traces ------------------------------------------------------------------------
