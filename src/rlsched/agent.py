@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import EnvConfig
+from .config import EnvConfig, check_seed
 from .env import ClusterEnv
 from .errors import ConfigError, TrainingDiverged
 from .metrics import episode_report, format_cell
@@ -122,6 +122,7 @@ class ActorCriticAgent:
 
     def __init__(self, observation_shape, num_actions, config=None, seed=0,
                  chain=None):
+        check_seed(seed)
         self.config = config or AgentConfig()
         self.observation_shape = tuple(observation_shape)
         self.num_actions = int(num_actions)

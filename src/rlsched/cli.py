@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .agent import AgentConfig, train
 from .baselines import make_policy, run_greedy
-from .config import EnvConfig, from_section, read_yaml
+from .config import EnvConfig, check_seed, from_section, read_yaml
 from .env import ClusterEnv
 from .errors import ConfigError, RlschedError
 from .experiment import (
@@ -84,6 +84,7 @@ def _sequence_seed(seed: int, index: int) -> int:
 
 
 def _training_sequences(env_cfg, workload, count, seed):
+    check_seed(seed)
     return [
         generate(
             dataclasses.replace(workload, seed=_sequence_seed(seed, k)), env_cfg

@@ -60,6 +60,12 @@ class EnvConfig:
         return len(self.capacities)
 
 
+def check_seed(seed: int) -> None:
+    """Seeds feed numpy's SeedSequence, which takes non-negative integers."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 def _convert(tp, value):
     """`value` as the annotated type `tp`. Raises TypeError or ValueError.
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .agent import ActorCriticAgent, AgentConfig
 from .baselines import make_policy, run_greedy
-from .config import EnvConfig
+from .config import EnvConfig, check_seed
 from .env import ClusterEnv
 from .errors import ConfigError
 from .metrics import format_cell
@@ -66,6 +66,8 @@ class ExperimentSpec:
             raise ConfigError("a2c policy requires a checkpoint path")
         if self.episodes < 0:
             raise ConfigError("episodes must be >= 0")
+        for seed in self.seeds:
+            check_seed(seed)
 
 
 def _workload_seed(seed: int, rate_index: int, episode: int) -> int:

@@ -4,6 +4,12 @@ Supported layers: 3x3 same-shape convolution, 2x2 max-pooling, flatten, and
 dense, each with an optional ReLU. Forward passes keep the caches needed for
 exact reverse-mode gradients; updates are plain SGD. Everything is batched
 over the leading axis and deterministic given (seed, input).
+
+A ReLU overwrites its input and caches its output: relu(z) > 0 exactly
+where z > 0, and a max-pool after it then caches the same array. Max-pooling
+takes the first maximum in row-major window order (top-left, top-right,
+bottom-left, bottom-right), a NaN counting as the maximum, and sends the
+window's gradient to that cell alone.
 """
 from __future__ import annotations
 
@@ -57,8 +63,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
+def _corners(x):
+    """The four corners of every 2x2 window of x (batch, C, H, W) as strided
+    views, in row-major window order; an odd last row or column is dropped."""
+    h2, w2 = x.shape[2] // 2, x.shape[3] // 2
+    return [x[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
 
 
 class Network:
@@ -156,8 +165,10 @@ class Network:
                 cache = x
                 x = x @ w.T + b
             if spec.activation == "relu":
+                # in place: only conv3 and dense take a ReLU, and their output
+                # is a fresh array
+                np.maximum(x, 0.0, out=x)
                 cache = (cache, x)
-                x = _relu(x)
             caches.append(cache)
         return x, caches
 
@@ -169,8 +180,8 @@ class Network:
         for i in range(len(self.layers) - 1, -1, -1):
             spec, cache = self.layers[i], caches[i]
             if spec.activation == "relu":
-                cache, pre = cache
-                grad = grad * (pre > 0)
+                cache, act = cache
+                grad = grad * (act > 0)
             if spec.kind == "conv3":
                 grads[i], grad = self._conv_backward(grad, cache, self.params[i][0])
             elif spec.kind == "maxpool2":
@@ -212,30 +223,21 @@ class Network:
         return (dw, db), dpadded[:, :, 1 : h + 1, 1 : wd + 1]
 
     def _pool_forward(self, x):
-        batch, c, h, wd = x.shape
-        h2, w2 = h // 2, wd // 2
-        cropped = x[:, :, : h2 * 2, : w2 * 2]
-        windows = (
-            cropped.reshape(batch, c, h2, 2, w2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(batch, c, h2, w2, 4)
-        )
-        # argmax picks the first maximum: row-major tie-break within a window
-        idx = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-        return out, (idx, x.shape)
+        # max of the four corners; maximum() keeps its second argument on a
+        # tie, so nesting the earlier corners second keeps the first maximum
+        c0, c1, c2, c3 = _corners(x)
+        out = np.maximum(np.maximum(c3, c2), np.maximum(c1, c0))
+        return out, (x, out)
 
-    def _pool_backward(self, grad, idx, x_shape):
-        batch, c, h, wd = x_shape
-        h2, w2 = h // 2, wd // 2
-        dwindows = np.zeros((batch, c, h2, w2, 4), dtype=self.dtype)
-        np.put_along_axis(dwindows, idx[..., None], grad[..., None], axis=-1)
-        dx = np.zeros(x_shape, dtype=self.dtype)
-        dx[:, :, : h2 * 2, : w2 * 2] = (
-            dwindows.reshape(batch, c, h2, w2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(batch, c, h2 * 2, w2 * 2)
-        )
+    def _pool_backward(self, grad, x, out):
+        # each window's gradient goes to its first corner equal to the max,
+        # or that is NaN when the max is NaN
+        dx = np.zeros(x.shape, dtype=self.dtype)
+        pending = np.ones(out.shape, dtype=bool)
+        for corner, dcorner in zip(_corners(x), _corners(dx)):
+            hit = pending & ((corner == out) | np.isnan(corner))
+            np.copyto(dcorner, grad, where=hit)
+            pending &= ~hit
         return dx
 
     # -- parameter updates -----------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import EnvConfig
+from .config import EnvConfig, check_seed
 from .env import Job
 from .errors import ConfigError, ParseError, SpecError, ValidationError
 
@@ -30,6 +30,9 @@ class WorkloadSpec:
     other_demand_range: tuple[int, int] = (1, 2)
     num_resources: int = 2
     seed: int = 0
+
+    def __post_init__(self):
+        check_seed(self.seed)
 
 
 def _check_range(name: str, rng: tuple[int, int], low: int) -> None:

@@ -15,6 +15,7 @@ from rlsched.config import EnvConfig
 from rlsched.env import ClusterEnv, Job
 from rlsched.errors import ConfigError, TrainingDiverged
 from rlsched.nn import flatten, softmax
+from rlsched.workload import WorkloadSpec, generate
 
 TINY = AgentConfig(gamma=0.9, lr_actor=0.1, lr_critic=0.1, n_steps=1,
                    entropy_coeff=0.0, init_scale=0.1)
@@ -77,6 +78,60 @@ def test_value_deterministic():
     agent = tiny_agent()
     s = grid(0.5, -1.0)
     assert agent.value(s) == agent.value(s)
+
+
+def direct_logits(net, state):
+    """One state's network output in float64, each layer from its definition:
+    3x3 sums over a zero border, the max of each 2x2 window, dense."""
+    x = np.asarray(state, dtype=np.float64)[None]  # (channels, H, W)
+    for spec, params in zip(net.layers, net.params):
+        if spec.kind == "conv3":
+            w, b = (p.astype(np.float64) for p in params)
+            _, h, wd = x.shape
+            padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+            y = np.empty((len(b), h, wd))
+            for r in range(h):
+                for c in range(wd):
+                    patch = padded[None, :, r : r + 3, c : c + 3]
+                    y[:, r, c] = (w * patch).sum(axis=(1, 2, 3)) + b
+            x = y
+        elif spec.kind == "maxpool2":
+            y = np.empty((x.shape[0], x.shape[1] // 2, x.shape[2] // 2))
+            for r in range(y.shape[1]):
+                for c in range(y.shape[2]):
+                    y[:, r, c] = x[:, 2 * r : 2 * r + 2, 2 * c : 2 * c + 2].max(axis=(1, 2))
+            x = y
+        elif spec.kind == "flatten":
+            x = x.reshape(-1)
+        elif spec.kind == "dense":
+            w, b = (p.astype(np.float64) for p in params)
+            x = w @ x + b
+        if spec.activation == "relu":
+            x = np.maximum(x, 0.0)
+    return x
+
+
+@pytest.mark.parametrize("arch", ["conv16_pool", "conv32_pool"])
+def test_pooled_actor_matches_direct_forward(arch):
+    cfg = EnvConfig()
+    env = ClusterEnv(cfg)
+    env.reset(generate(WorkloadSpec(rate=0.9, seed=4), cfg))
+    states = []
+    for t in range(40):
+        if t % 10 == 9:
+            states.append(env.encode_state())
+        env.step(t % 3)
+    # a wide init spreads the logits, so the greedy action is well defined
+    agent = ActorCriticAgent(env.observation_shape(), cfg.queue_slots + 1,
+                             config=AgentConfig(architecture=arch, init_scale=0.1),
+                             seed=7)
+    for state in states:
+        logits, _ = agent.actor.forward(state[None, None])
+        want = direct_logits(agent.actor, state)
+        tol = 1e-4 * np.abs(want).max()
+        assert np.abs(logits[0] - want).max() <= tol
+        action = agent.act(state, mode="greedy")
+        assert want[action] >= want.max() - tol
 
 
 def test_unknown_architecture_rejected():
@@ -329,12 +384,13 @@ def test_train_deterministic_given_seed():
         assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("bad", [{"episodes": -3}, {"checkpoint_every": -1}])
+@pytest.mark.parametrize("bad", [{"episodes": -3}, {"checkpoint_every": -1},
+                                 {"seed": -1}])
 def test_train_rejects_negative_counts(tmp_path, bad):
-    kwargs = {"episodes": 2, **bad}
+    kwargs = {"episodes": 2, "seed": 0, **bad}
     with pytest.raises(ConfigError):
         train(small_env_config(), [[Job(0, 0, 2, (1, 1))]], AgentConfig(),
-              seed=0, checkpoint_dir=tmp_path / "ckpt", **kwargs)
+              checkpoint_dir=tmp_path / "ckpt", **kwargs)
     assert not (tmp_path / "ckpt").exists()
 
 

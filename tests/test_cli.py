@@ -162,18 +162,26 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
         ("sweep", "trace: {time_scale: -5}\n", "ConfigError", "trace"),
         ("sweep", "experiment: {env: {horizon: 8}}\n", "ConfigError", "env"),
         ("train", "train: {episodes: -3}\n", "ConfigError", "episodes"),
+        ("sweep", "experiment: {seeds: [0, -1]}\n", "ConfigError", "seed"),
+        ("train", "workload: {seed: -1}\n", "ConfigError", "seed"),
+        ("evaluate", "workload: {seed: -1}\n", "ConfigError", "seed"),
     ],
     ids=["non-integer-env-value", "malformed-yaml", "non-pair-range",
          "non-integer-agent-value", "non-integer-train-value",
          "non-number-workload-value", "non-integer-experiment-value",
          "list-for-scalar", "unknown-train-key", "scalar-for-list",
-         "trace-section", "experiment-sets-env", "negative-train-episodes"],
+         "trace-section", "experiment-sets-env", "negative-train-episodes",
+         "negative-experiment-seed", "negative-workload-seed-train",
+         "negative-workload-seed-evaluate"],
 )
 def test_malformed_config_value_fails_with_json_error(tmp_path, capsys, command,
                                                       text, error, fragment):
     path = tmp_path / "bad.yaml"
     path.write_text(text)
-    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+    if command == "evaluate":
+        argv += ["--policy", "sjf"]
+    code = main(argv)
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == error
@@ -181,11 +189,18 @@ def test_malformed_config_value_fails_with_json_error(tmp_path, capsys, command,
 
 
 def test_malformed_flag_fails_with_json_error(tmp_path, capsys):
-    code = main(["sweep", "--rates", "0.7,abc", "--out", str(tmp_path / "o")])
-    assert code == 1
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert payload["error"] == "ConfigError"
-    assert "job_rates" in payload["message"]
+    out = str(tmp_path / "o")
+    for argv, fragment in [
+        (["sweep", "--rates", "0.7,abc", "--out", out], "job_rates"),
+        (["sweep", "--seeds", "-1", "--out", out], "seed"),
+        (["train", "--seed", "-1", "--episodes", "1", "--out", out], "seed"),
+        (["evaluate", "--policy", "sjf", "--seed", "-1", "--out", out], "seed"),
+    ]:
+        assert main(argv) == 1, argv
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ConfigError", argv
+        assert fragment in payload["message"], argv
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_results_dir_fails_cleanly(tmp_path, capsys):

@@ -95,6 +95,71 @@ def test_maxpool_odd_dims_crop():
     assert out.shape == (1, 1, 2, 3)
 
 
+def pool_oracle(x, grad):
+    """Max-pool forward and backward by argmax (the first maximum, or the
+    first NaN) and a gather/scatter over each window's four cells, laid out
+    in row-major order on a last axis; an odd last row or column is dropped."""
+    batch, c, h, wd = x.shape
+    h2, w2 = h // 2, wd // 2
+    windows = (x[:, :, : 2 * h2, : 2 * w2]
+               .reshape(batch, c, h2, 2, w2, 2)
+               .transpose(0, 1, 2, 4, 3, 5)
+               .reshape(batch, c, h2, w2, 4))
+    idx = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    dwindows = np.zeros(windows.shape, dtype=x.dtype)
+    np.put_along_axis(dwindows, idx[..., None], grad[..., None], axis=-1)
+    dx = np.zeros(x.shape, dtype=x.dtype)
+    dx[:, :, : 2 * h2, : 2 * w2] = (dwindows.reshape(batch, c, h2, w2, 2, 2)
+                                    .transpose(0, 1, 2, 4, 3, 5)
+                                    .reshape(batch, c, 2 * h2, 2 * w2))
+    return out, dx
+
+
+def assert_same_bits(got, want):
+    """float32 arrays equal bit for bit (so -0.0 != 0.0); NaNs must sit at
+    the same positions, whatever their payload."""
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float32
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    got_bits = np.ascontiguousarray(got).view(np.uint32)
+    want_bits = np.ascontiguousarray(want).view(np.uint32)
+    assert np.array_equal(got_bits[~nan], want_bits[~nan])
+
+
+TIE_VALUES = np.array([-0.0, 0.0, 1.0, -1.0, np.inf, -np.inf, np.nan],
+                      dtype=np.float32)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("shape", [(2, 3, 4, 4), (1, 2, 5, 7), (2, 1, 6, 3),
+                                   (1, 1, 2, 2)])
+def test_maxpool_matches_argmax_oracle_bit_for_bit(shape, seed):
+    rng = np.random.default_rng(seed)
+    # odd seeds leave NaN out, so equal-valued ties decide more windows
+    values = TIE_VALUES[: len(TIE_VALUES) - seed % 2]
+    x = values[rng.integers(0, len(values), shape)]
+    batch, c, h, wd = shape
+    grad = TIE_VALUES[rng.integers(0, len(TIE_VALUES), (batch, c, h // 2, wd // 2))]
+    net = Network([maxpool2()], input_shape=shape[1:])
+    # a conv output reaches the pool as a strided (NHWC-backed) view
+    for x_in in (x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)):
+        out, caches = net.forward(x_in)
+        _, dx = net.backward(caches, grad)
+        want_out, want_dx = pool_oracle(x, grad)
+        assert_same_bits(out, want_out)
+        assert_same_bits(dx, want_dx)
+
+
+def test_maxpool_four_way_tie_routes_gradient_to_top_left():
+    x = np.full((1, 1, 2, 2), 3.0, dtype=np.float32)
+    net = Network([maxpool2()], input_shape=(1, 2, 2))
+    out, caches = net.forward(x)
+    _, dx = net.backward(caches, np.array([[[[5.0]]]], dtype=np.float32))
+    assert out[0, 0, 0, 0] == 3.0
+    assert dx[0, 0].tolist() == [[5.0, 0.0], [0.0, 0.0]]
+
+
 def test_forward_shape_mismatch_raises():
     net = Network([flatten(), dense(2)], input_shape=(1, 3, 3))
     with pytest.raises(ShapeError):
