@@ -10,13 +10,26 @@ where z > 0, and a max-pool after it then caches the same array. Max-pooling
 takes the first maximum in row-major window order (top-left, top-right,
 bottom-left, bottom-right), a NaN counting as the maximum, and sends the
 window's gradient to that cell alone.
+
+Each network keeps its batch-sized intermediates in buffers it reuses: the
+im2col patches and output of a convolution, a flatten copy, and a dense
+layer's input gradient. A buffer grows to the largest batch seen; a smaller
+batch uses a leading slice. Hence the contract:
+- the caches of a forward are valid until that network's next forward, and
+  serve one backward (which overwrites a convolution's output buffer);
+- arrays returned by forward and backward belong to the caller: no later
+  call on the network changes them;
+- backward builds the gradient w.r.t. the input only when asked
+  (input_grad=True); otherwise it stops at the first layer's parameter
+  gradients.
+A buffered intermediate has the layout numpy would give a fresh array there,
+so every matmul and sum gives the same bits with or without the buffers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ConfigError, ShapeError
 
@@ -85,6 +98,7 @@ class Network:
         self.init_scale = float(init_scale)
         self.dtype = dtype
         self.shapes = self._chain_shapes()
+        self._buffers: dict[tuple[str, int], np.ndarray] = {}
         rng = np.random.default_rng(seed)
         self.params: list[tuple[np.ndarray, np.ndarray] | None] = []
         for spec, in_shape in zip(self.layers, [self.input_shape] + self.shapes[:-1]):
@@ -144,6 +158,28 @@ class Network:
 
     # -- forward / backward ----------------------------------------------------
 
+    def _buffer(self, key, batch: int, shape) -> np.ndarray:
+        """A C-contiguous (batch, *shape) leading slice of this network's
+        buffer for key, which grows to the largest batch seen."""
+        buf = self._buffers.get(key)
+        if buf is None or len(buf) < batch:
+            buf = self._buffers[key] = np.empty((batch, *shape), dtype=self.dtype)
+        return buf[:batch]
+
+    def _reshape(self, x, shape, key):
+        """(x reshaped, whether it was copied): a view where numpy can make
+        one, else a copy into this network's buffer for key. Either way the
+        layout, and so every BLAS call and sum on it, is that of
+        x.reshape(shape). A non-contiguous x may still reshape to a strided
+        view (a batch-1 NHWC gradient does), so only numpy can tell; its
+        reshape(copy=False), which needs numpy >= 2.1, says so."""
+        try:
+            return x.reshape(shape, copy=False), False
+        except ValueError:
+            buf = self._buffer(key, len(x), x.shape[1:])
+            np.copyto(buf, x)
+            return buf.reshape(shape), True
+
     def forward(self, x: np.ndarray):
         """x is (batch, *input_shape); returns (output, caches)."""
         x = np.asarray(x, dtype=self.dtype)
@@ -152,38 +188,53 @@ class Network:
                 f"input shape {x.shape[1:]} does not match {self.input_shape}"
             )
         caches = []
-        for spec, params in zip(self.layers, self.params):
+        owned = False  # x lives in one of this network's buffers
+        for i, (spec, params) in enumerate(zip(self.layers, self.params)):
             if spec.kind == "conv3":
-                x, cache = self._conv_forward(x, *params)
+                x, cache = self._conv_forward(i, x, *params)
+                owned = True
             elif spec.kind == "maxpool2":
                 x, cache = self._pool_forward(x)
+                owned = False
             elif spec.kind == "flatten":
                 cache = x.shape
-                x = x.reshape(x.shape[0], -1)
+                x, copied = self._reshape(x, (len(x), -1), ("flatten", i))
+                owned = owned or copied
             elif spec.kind == "dense":
                 w, b = params
                 cache = x
                 x = x @ w.T + b
+                owned = False
             if spec.activation == "relu":
                 # in place: only conv3 and dense take a ReLU, and their output
-                # is a fresh array
+                # is a fresh array or this layer's buffer
                 np.maximum(x, 0.0, out=x)
                 cache = (cache, x)
             caches.append(cache)
-        return x, caches
+        return (x.copy() if owned else x), caches
 
-    def backward(self, caches, grad_out: np.ndarray):
+    def backward(self, caches, grad_out: np.ndarray, input_grad: bool = False):
         """Exact gradients of the forward map; returns (per-layer grads
-        congruent with params, gradient w.r.t. the input)."""
-        grad = np.asarray(grad_out, dtype=self.dtype)
+        congruent with params, gradient w.r.t. the input). The input gradient
+        is built only if input_grad is set, and is None otherwise."""
+        grad = np.array(grad_out, dtype=self.dtype)  # ours to overwrite
         grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(self.layers)
-        for i in range(len(self.layers) - 1, -1, -1):
+        # without input_grad the pass ends at the first layer with parameters
+        first = next((i for i, p in enumerate(self.params) if p is not None),
+                     len(self.layers))
+        last = 0 if input_grad else first
+        for i in range(len(self.layers) - 1, last - 1, -1):
             spec, cache = self.layers[i], caches[i]
+            need_dx = input_grad or i > first
             if spec.activation == "relu":
                 cache, act = cache
-                grad = grad * (act > 0)
+                # a conv3 output is its layer's buffer, dead once the mask is
+                # taken, so the 0/1 mask goes there
+                mask = np.greater(act, 0, out=act) if spec.kind == "conv3" else act > 0
+                np.multiply(grad, mask, out=grad)
             if spec.kind == "conv3":
-                grads[i], grad = self._conv_backward(grad, cache, self.params[i][0])
+                grads[i], grad = self._conv_backward(i, grad, cache,
+                                                     self.params[i][0], need_dx)
             elif spec.kind == "maxpool2":
                 grad = self._pool_backward(grad, *cache)
             elif spec.kind == "flatten":
@@ -192,33 +243,50 @@ class Network:
                 x = cache
                 w = self.params[i][0]
                 grads[i] = (grad.T @ x, grad.sum(axis=0))
-                grad = grad @ w
-        return grads, grad
+                if i > first:
+                    dx = self._buffer(("dgrad", i), len(grad), w.shape[1:])
+                    grad = np.matmul(grad, w, out=dx)
+                elif input_grad:
+                    # fresh, so the returned input gradient is the caller's
+                    grad = grad @ w
+        return grads, (grad if input_grad else None)
 
-    def _conv_forward(self, x, w, b):
+    def _conv_forward(self, i, x, w, b):
         batch, c, h, wd = x.shape
         f = w.shape[0]
         padded = np.zeros((batch, c, h + 2, wd + 2), dtype=x.dtype)
         padded[:, :, 1 : h + 1, 1 : wd + 1] = x
-        windows = sliding_window_view(padded, (3, 3), axis=(2, 3))
-        patches = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * h * wd, c * 9)
-        out = patches @ w.reshape(f, c * 9).T + b
-        out = out.reshape(batch, h, wd, f).transpose(0, 3, 1, 2)
-        return out, (patches, x.shape)
+        # im2col: patch row (n, y, x) holds the 3x3 window at (y, x) of every
+        # channel, in (c, i, j) order
+        patches = self._buffer(("patches", i), batch, (h, wd, c, 3, 3))
+        for di in range(3):
+            for dj in range(3):
+                patches[..., di, dj] = padded[:, :, di : di + h,
+                                              dj : dj + wd].transpose(0, 2, 3, 1)
+        patches = patches.reshape(batch * h * wd, c * 9)
+        out = self._buffer(("conv", i), batch, (h, wd, f))
+        out_m = out.reshape(batch * h * wd, f)
+        np.matmul(patches, w.reshape(f, c * 9).T, out=out_m)
+        out_m += b
+        return out.transpose(0, 3, 1, 2), (patches, x.shape)
 
-    def _conv_backward(self, grad, cache, w):
+    def _conv_backward(self, i, grad, cache, w, input_grad):
         patches, x_shape = cache
         batch, c, h, wd = x_shape
         f = w.shape[0]
-        grad_m = grad.transpose(0, 2, 3, 1).reshape(batch * h * wd, f)
+        # an NHWC copy goes in the layer's output buffer, dead by now
+        grad_m, _ = self._reshape(grad.transpose(0, 2, 3, 1),
+                                  (batch * h * wd, f), ("conv", i))
         dw = (grad_m.T @ patches).reshape(f, c, 3, 3)
         db = grad_m.sum(axis=0)
+        if not input_grad:
+            return (dw, db), None
         dpatches = (grad_m @ w.reshape(f, c * 9)).reshape(batch, h, wd, c, 3, 3)
         dpadded = np.zeros((batch, c, h + 2, wd + 2), dtype=self.dtype)
-        for i in range(3):
-            for j in range(3):
-                dpadded[:, :, i : i + h, j : j + wd] += dpatches[
-                    :, :, :, :, i, j
+        for di in range(3):
+            for dj in range(3):
+                dpadded[:, :, di : di + h, dj : dj + wd] += dpatches[
+                    :, :, :, :, di, dj
                 ].transpose(0, 3, 1, 2)
         return (dw, db), dpadded[:, :, 1 : h + 1, 1 : wd + 1]
 
@@ -273,23 +341,13 @@ class Network:
                 arrays.extend(params)
         return arrays
 
-    def copy(self) -> "Network":
-        clone = type(self).__new__(type(self))
-        clone.layers = list(self.layers)
-        clone.input_shape = self.input_shape
-        clone.init_scale = self.init_scale
-        clone.dtype = self.dtype
-        clone.shapes = list(self.shapes)
-        clone.params = [
-            None if p is None else (p[0].copy(), p[1].copy()) for p in self.params
-        ]
-        return clone
-
     def astype(self, dtype) -> "Network":
-        clone = self.copy()
-        clone.dtype = dtype
+        """A copy of this network computing in dtype; it shares no array
+        with this one."""
+        clone = type(self)(self.layers, self.input_shape,
+                           init_scale=self.init_scale, dtype=dtype)
         clone.params = [
             None if p is None else (p[0].astype(dtype), p[1].astype(dtype))
-            for p in clone.params
+            for p in self.params
         ]
         return clone

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -358,6 +360,38 @@ def test_all_diagnostics_finite_during_training():
     for r in records:
         assert np.isfinite([r.actor_loss, r.critic_loss, r.entropy,
                             r.mean_advantage]).all()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux reports them")
+def test_update_reuses_batch_buffers():
+    """An MB-sized temporary that is freed and mapped again on every update
+    shows as minor page faults; warm updates must reuse the networks'
+    buffers instead."""
+    resource = pytest.importorskip("resource")
+    env = ClusterEnv(EnvConfig())
+    env.reset(generate(WorkloadSpec(rate=0.7, seed=0), env.config))
+    agent = ActorCriticAgent(env.observation_shape(), env.config.queue_slots + 1,
+                             seed=0)
+    segments = []
+    obs = env.encode_state()
+    for _ in range(23):
+        segment = []
+        for _ in range(agent.config.n_steps):
+            action = agent.act(obs)
+            outcome = env.step(action)
+            next_obs = env.encode_state()
+            segment.append(Transition(obs, action, outcome.reward, next_obs,
+                                      outcome.done))
+            obs = next_obs
+        segments.append(segment)
+    for segment in segments[:3]:
+        agent.update(segment)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for segment in segments[3:]:
+        agent.update(segment)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 20 < 50
 
 
 # -- train -------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from rlsched.errors import ConfigError, ShapeError
 from rlsched.nn import (
@@ -145,7 +146,7 @@ def test_maxpool_matches_argmax_oracle_bit_for_bit(shape, seed):
     # a conv output reaches the pool as a strided (NHWC-backed) view
     for x_in in (x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)):
         out, caches = net.forward(x_in)
-        _, dx = net.backward(caches, grad)
+        _, dx = net.backward(caches, grad, input_grad=True)
         want_out, want_dx = pool_oracle(x, grad)
         assert_same_bits(out, want_out)
         assert_same_bits(dx, want_dx)
@@ -155,7 +156,8 @@ def test_maxpool_four_way_tie_routes_gradient_to_top_left():
     x = np.full((1, 1, 2, 2), 3.0, dtype=np.float32)
     net = Network([maxpool2()], input_shape=(1, 2, 2))
     out, caches = net.forward(x)
-    _, dx = net.backward(caches, np.array([[[[5.0]]]], dtype=np.float32))
+    _, dx = net.backward(caches, np.array([[[[5.0]]]], dtype=np.float32),
+                         input_grad=True)
     assert out[0, 0, 0, 0] == 3.0
     assert dx[0, 0].tolist() == [[5.0, 0.0], [0.0, 0.0]]
 
@@ -190,7 +192,7 @@ def test_zero_output_grad_gives_zero_gradients():
     net = Network([conv3(2), flatten(), dense(3)], input_shape=(1, 4, 4), seed=2)
     x = rng_input((1, 4, 4), seed=3)
     out, caches = net.forward(x)
-    grads, dx = net.backward(caches, np.zeros_like(out))
+    grads, dx = net.backward(caches, np.zeros_like(out), input_grad=True)
     assert not dx.any()
     for g in grads:
         if g is not None:
@@ -203,7 +205,7 @@ def test_dense_backward_closed_form():
     x = np.array([[0.5, -1.0, 2.0, 0.25]], dtype=np.float32)
     g = np.array([[1.0, -2.0, 0.5]], dtype=np.float32)
     _, caches = net.forward(x)
-    grads, dx = net.backward(caches, g)
+    grads, dx = net.backward(caches, g, input_grad=True)
     w, _ = net.params[0]
     assert np.allclose(grads[0][0], g.T @ x)
     assert np.allclose(grads[0][1], g[0])
@@ -216,8 +218,174 @@ def test_relu_backward_zero_where_inactive():
     net.params[0] = (np.eye(6, dtype=np.float32), np.zeros(6, dtype=np.float32))
     x = np.array([[-2.0, -0.1, 0.0, 0.1, 3.0, -5.0]], dtype=np.float32)
     out, caches = net.forward(x)
-    _, dx = net.backward(caches, np.ones_like(out))
+    _, dx = net.backward(caches, np.ones_like(out), input_grad=True)
     assert np.array_equal(dx[0] != 0, x[0] > 0)
+
+
+def test_input_gradient_only_when_asked():
+    net = Network([conv3(2), flatten(), dense(3)], input_shape=(1, 4, 4), seed=2)
+    x = rng_input((1, 4, 4), seed=3)
+    out, caches = net.forward(x)
+    grads, dx = net.backward(caches, np.ones_like(out))
+    assert dx is None
+    assert all(g is not None for g in (grads[0], grads[2]))
+
+
+def conv_forward_oracle(x, w, b):
+    """3x3 same convolution by im2col: a sliding_window_view copy of the
+    zero-padded input, one matmul, a fresh bias add."""
+    batch, c, h, wd = x.shape
+    f = w.shape[0]
+    padded = np.zeros((batch, c, h + 2, wd + 2), dtype=x.dtype)
+    padded[:, :, 1 : h + 1, 1 : wd + 1] = x
+    windows = sliding_window_view(padded, (3, 3), axis=(2, 3))
+    patches = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * h * wd, c * 9)
+    out = patches @ w.reshape(f, c * 9).T + b
+    return out.reshape(batch, h, wd, f).transpose(0, 3, 1, 2), patches
+
+
+def conv_backward_oracle(grad, patches, x_shape, w):
+    batch, c, h, wd = x_shape
+    f = w.shape[0]
+    grad_m = grad.transpose(0, 2, 3, 1).reshape(batch * h * wd, f)
+    dw = (grad_m.T @ patches).reshape(f, c, 3, 3)
+    db = grad_m.sum(axis=0)
+    dpatches = (grad_m @ w.reshape(f, c * 9)).reshape(batch, h, wd, c, 3, 3)
+    dpadded = np.zeros((batch, c, h + 2, wd + 2), dtype=grad.dtype)
+    for i in range(3):
+        for j in range(3):
+            dpadded[:, :, i : i + h, j : j + wd] += dpatches[
+                :, :, :, :, i, j
+            ].transpose(0, 3, 1, 2)
+    return (dw, db), dpadded[:, :, 1 : h + 1, 1 : wd + 1]
+
+
+def chain_oracle(net, x, grad_out):
+    """Forward and backward through net's layers with a fresh array for every
+    intermediate and the input gradient of every layer; returns (output,
+    parameter grads, input gradient)."""
+    x = np.asarray(x, dtype=net.dtype)
+    caches = []
+    for spec, params in zip(net.layers, net.params):
+        if spec.kind == "conv3":
+            shape = x.shape
+            x, patches = conv_forward_oracle(x, *params)
+            cache = (patches, shape)
+        elif spec.kind == "maxpool2":
+            cache = x
+            x, _ = pool_oracle(x, np.float32(0.0))  # no gradient yet
+        elif spec.kind == "flatten":
+            cache = x.shape
+            x = x.reshape(x.shape[0], -1)
+        elif spec.kind == "dense":
+            w, b = params
+            cache = x
+            x = x @ w.T + b
+        if spec.activation == "relu":
+            x = np.maximum(x, 0.0)
+            cache = (cache, x)
+        caches.append(cache)
+    grad = np.asarray(grad_out, dtype=net.dtype)
+    grads = [None] * len(net.layers)
+    for i in range(len(net.layers) - 1, -1, -1):
+        spec, cache = net.layers[i], caches[i]
+        if spec.activation == "relu":
+            cache, act = cache
+            grad = grad * (act > 0)
+        if spec.kind == "conv3":
+            grads[i], grad = conv_backward_oracle(grad, *cache, net.params[i][0])
+        elif spec.kind == "maxpool2":
+            _, grad = pool_oracle(cache, grad)
+        elif spec.kind == "flatten":
+            grad = grad.reshape(cache)
+        elif spec.kind == "dense":
+            w = net.params[i][0]
+            grads[i] = (grad.T @ cache, grad.sum(axis=0))
+            grad = grad @ w
+    return x, grads, grad
+
+
+ORACLE_CHAINS = {
+    "conv16": [conv3(16, activation="relu"), flatten(), dense(6)],
+    "conv16_pool": [conv3(16, activation="relu"), maxpool2(), flatten(), dense(6)],
+    "fc": [flatten(), dense(24, activation="relu"), dense(1)],
+}
+
+
+@pytest.mark.parametrize("arch", sorted(ORACLE_CHAINS))
+def test_chain_matches_fresh_array_oracle_bit_for_bit(arch):
+    shape = (1, 7, 9)
+    net = Network(ORACLE_CHAINS[arch], input_shape=shape, seed=3, init_scale=0.5)
+    rng = np.random.default_rng(11)
+    # one network over changing batch sizes: a stale or wrongly sliced
+    # buffer shows as a mismatch
+    for step, batch in enumerate((6, 1, 5, 6, 2)):
+        x = rng.standard_normal((batch,) + shape).astype(np.float32)
+        x[rng.random(x.shape) < 0.3] = 0.0  # exact zeros, as in a state image
+        input_grad = step % 2 == 1
+        out, caches = net.forward(x)
+        grad_out = rng.standard_normal(out.shape)
+        grads, dx = net.backward(caches, grad_out, input_grad=input_grad)
+        want_out, want_grads, want_dx = chain_oracle(net, x, grad_out)
+        assert_same_bits(out, want_out)
+        for got, want in zip(grads, want_grads):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert_same_bits(got[0], want[0])
+                assert_same_bits(got[1], want[1])
+        if input_grad:
+            assert_same_bits(dx, want_dx)
+        else:
+            assert dx is None
+
+
+@pytest.mark.parametrize("layers", [
+    [conv3(3, activation="relu")],
+    [conv3(3, activation="relu"), maxpool2()],
+    [conv3(3, activation="relu"), flatten()],
+    [conv3(3, activation="relu"), maxpool2(), flatten(), dense(4)],
+    [flatten(), dense(5, activation="relu"), dense(2)],
+], ids=["conv", "pool", "flatten", "dense", "fc"])
+def test_returned_arrays_are_not_reused(layers):
+    shape = (2, 4, 6)
+    net = Network(layers, input_shape=shape, seed=1, init_scale=0.5)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((3,) + shape)
+    out, caches = net.forward(x)
+    grads, dx = net.backward(caches, rng.standard_normal(out.shape),
+                             input_grad=True)
+    kept = [out, dx] + [a for g in grads if g is not None for a in g]
+    copies = [a.copy() for a in kept]
+    for batch in (3, 5, 1):
+        y = rng.standard_normal((batch,) + shape)
+        out2, caches2 = net.forward(y)
+        net.backward(caches2, rng.standard_normal(out2.shape), input_grad=True)
+    for a, before in zip(kept, copies):
+        assert np.array_equal(a, before)
+
+
+def test_astype_clone_shares_no_buffer():
+    layers = [conv3(4, activation="relu"), flatten(), dense(3)]
+    net = Network(layers, input_shape=(1, 5, 6), seed=4, init_scale=0.5)
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((2, 4, 1, 5, 6))
+    g = rng.standard_normal((4, 3))
+    want, _ = net.backward(net.forward(x)[1], g)
+    clone = net.astype(np.float32)
+    _, caches = net.forward(x)
+    clone.forward(y)  # would overwrite shared buffers, and with them caches
+    grads, _ = net.backward(caches, g)
+    for got, expect in zip(grads, want):
+        if got is not None:
+            assert_same_bits(got[0], expect[0])
+            assert_same_bits(got[1], expect[1])
+
+
+def test_flatten_of_contiguous_input_is_a_view():
+    net = Network([flatten(), dense(3)], input_shape=(1, 4, 5), seed=0)
+    x = np.ones((2, 1, 4, 5), dtype=np.float32)
+    _, caches = net.forward(x)
+    assert np.shares_memory(caches[1], x)
 
 
 # -- sgd_step -------------------------------------------------------------------
@@ -335,8 +503,8 @@ def test_checkpoint_architecture_mismatch(tmp_path):
         load_params(other, path)
 
 
-def test_copy_is_independent():
+def test_astype_is_independent():
     net = Network([dense(2)], input_shape=(3,), seed=0)
-    clone = net.copy()
+    clone = net.astype(np.float32)
     net.params[0][0][0, 0] += 1.0
     assert clone.params[0][0][0, 0] != net.params[0][0][0, 0]
