@@ -7,6 +7,8 @@ rows is left to the learned agent.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .env import ClusterEnv
@@ -33,17 +35,24 @@ def sjf_select(env: ClusterEnv) -> int:
 
 def tetris_select(env: ClusterEnv, lam_short: float = 0.05) -> int:
     """Packing-plus-short-jobs score: cosine alignment between the current
-    row's free-resource vector and the job demand, plus lam_short / duration."""
-    free = env.free_row0()
-    free_norm = float(np.linalg.norm(free))
+    row's free-resource vector and the job demand, plus lam_short / duration.
+
+    Free units and demands are small integers, so their sums of squares and
+    dot products are exact in Python integers, and `math.sqrt` and the one
+    division round exactly as the float64 norm and dot product would."""
+    free = [cap - col[0] for cap, col in
+            zip(env.config.capacities, env.image.columns)]
+    free_norm = math.sqrt(sum(f * f for f in free))
     best = None
     best_score = None
     for i, job in env.queued_jobs():
         if not env.image.fits_at(job, 0):
             continue
-        demand = np.asarray(job.demand, dtype=np.float64)
-        norm = free_norm * float(np.linalg.norm(demand))
-        alignment = float(free @ demand) / norm if norm > 0 else 0.0
+        demand = job.demand
+        norm = free_norm * math.sqrt(sum(d * d for d in demand))
+        alignment = (
+            sum(f * d for f, d in zip(free, demand)) / norm if norm > 0 else 0.0
+        )
         score = alignment + lam_short / job.duration
         if best_score is None or score > best_score:
             best, best_score = i, score

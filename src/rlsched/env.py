@@ -9,8 +9,11 @@ step.
 
 Placement always takes a row's lowest free cells, and a row is freed only
 when it scrolls off the top of the image, so every row is a filled prefix.
-The image is therefore stored as used units per (row, resource) and drawn
-as cells only when the observation is encoded.
+The image is therefore stored as one Python list of per-row used counts per
+resource, and drawn as cells only when the observation is encoded. The fit
+search reads these lists with plain integer arithmetic; a (horizon, resource)
+array of the same counts is built from them, read-only, for the encoder and
+for inspection.
 """
 from __future__ import annotations
 
@@ -76,15 +79,25 @@ def validate_job(job: Job, config: EnvConfig) -> None:
 
 
 class ClusterImage:
-    """Used units per (row, resource) over the look-ahead horizon.
+    """Used units per row of the look-ahead horizon, one list per resource.
 
-    Each count stands for a filled prefix of the row's cells (see the module
-    docstring), so the counts alone determine the drawn image.
+    `columns[r][k]` is the count of resource r used in row k. Each count
+    stands for a filled prefix of the row's cells (see the module docstring),
+    so the counts alone determine the drawn image. The lists are the only
+    store: the fit test and placement work on them directly, and `used` is a
+    read-only array built from them on request.
     """
 
     def __init__(self, config: EnvConfig):
         self.config = config
-        self.used = np.zeros((config.horizon, config.num_resources), dtype=np.int64)
+        self.columns = [[0] * config.horizon for _ in config.capacities]
+
+    @property
+    def used(self) -> np.ndarray:
+        """(horizon, num_resources) read-only array of used units per row."""
+        used = np.array(self.columns, dtype=np.int64).T
+        used.flags.writeable = False
+        return used
 
     def free_counts(self) -> np.ndarray:
         """(horizon, num_resources) array of free cells per row."""
@@ -93,10 +106,13 @@ class ClusterImage:
     def _window_fits(self, job: Job, offset: int) -> bool:
         """Whether the job's rows from `offset` on lie within the horizon and
         have room for its demand; callers keep `offset` non-negative."""
-        window = self.used[offset : offset + job.duration]
-        return len(window) == job.duration and bool(
-            (window + job.demand <= self.config.capacities).all()
-        )
+        end = offset + job.duration
+        if end > self.config.horizon:
+            return False
+        for col, d, cap in zip(self.columns, job.demand, self.config.capacities):
+            if max(col[offset:end]) + d > cap:
+                return False
+        return True
 
     def fits_at(self, job: Job, offset: int) -> bool:
         return offset >= 0 and self._window_fits(job, offset)
@@ -109,11 +125,14 @@ class ClusterImage:
         assert offset >= 0 and self._window_fits(job, offset), (
             "placement exceeds capacity"
         )
-        self.used[offset : offset + job.duration] += job.demand
+        end = offset + job.duration
+        for col, d in zip(self.columns, job.demand):
+            col[offset:end] = [u + d for u in col[offset:end]]
 
     def shift_up(self) -> None:
-        self.used[:-1] = self.used[1:]
-        self.used[-1] = 0
+        for col in self.columns:
+            del col[0]
+            col.append(0)
 
 
 class ClusterEnv:
@@ -188,10 +207,6 @@ class ClusterEnv:
 
     # -- scheduling -----------------------------------------------------------
 
-    def try_allocate(self, job: Job) -> int | None:
-        """Earliest feasible start offset within the horizon, or None."""
-        return self.image.earliest_offset(job)
-
     def _allocate(self, slot_index: int, offset: int) -> Job:
         job = self.queue[slot_index]
         self.image.place(job, offset)
@@ -246,7 +261,7 @@ class ClusterEnv:
             reward, completions = self.advance_time()
         else:
             job = self.queue[action - 1]
-            offset = self.try_allocate(job) if job is not None else None
+            offset = self.image.earliest_offset(job) if job is not None else None
             if job is not None and offset is not None:
                 self._allocate(action - 1, offset)
             else:
@@ -281,9 +296,10 @@ class ClusterEnv:
         then a unary column-major backlog counter."""
         h = self.config.horizon
         image = np.zeros(self.observation_shape(), dtype=np.float32)
+        used = self.image.used
         col = 0
         for r, cap in enumerate(self.config.capacities):
-            image[:, col : col + cap] = np.arange(cap) < self.image.used[:, r, None]
+            image[:, col : col + cap] = np.arange(cap) < used[:, r, None]
             col += cap
             for job in self.queue:
                 if job is not None:
@@ -307,9 +323,6 @@ class ClusterEnv:
             + sum(j is not None for j in self.queue)
             + len(self.backlog)
         )
-
-    def free_row0(self) -> np.ndarray:
-        return self.image.free_counts()[0].astype(np.float64)
 
 
 def reset(config: EnvConfig, jobs) -> ClusterEnv:

@@ -61,7 +61,7 @@ def test_tetris_prefers_aligned_demand():
     b = Job(2, 0, 5, (1, 8))
     env.reset([filler, a, b])
     env.step(1)
-    assert np.array_equal(env.free_row0(), [10, 4])
+    assert np.array_equal(env.image.free_counts()[0], [10, 4])
     slot = tetris_select(env)
     assert env.queue[slot - 1].id == 1
 
@@ -74,7 +74,7 @@ def test_tetris_literal_skewed_row():
     b = Job(2, 0, 5, (1, 8))
     env.reset([filler, a, b])
     env.step(1)
-    assert np.array_equal(env.free_row0(), [10, 2])
+    assert np.array_equal(env.image.free_counts()[0], [10, 2])
     slot = tetris_select(env)
     assert env.queue[slot - 1].id == 1
 
@@ -87,6 +87,64 @@ def test_tetris_short_job_term_decides_equal_demands():
 
 def test_tetris_void_on_empty_queue():
     assert tetris_select(queue_env([])) == 0
+
+
+def tetris_oracle(env, lam_short=0.05):
+    """The float64 numpy scoring `tetris_select` replaced, kept as its oracle."""
+    free = env.image.free_counts()[0].astype(np.float64)
+    free_norm = float(np.linalg.norm(free))
+    best = None
+    best_score = None
+    for i, job in env.queued_jobs():
+        if not env.image.fits_at(job, 0):
+            continue
+        demand = np.asarray(job.demand, dtype=np.float64)
+        norm = free_norm * float(np.linalg.norm(demand))
+        alignment = float(free @ demand) / norm if norm > 0 else 0.0
+        score = alignment + lam_short / job.duration
+        if best_score is None or score > best_score:
+            best, best_score = i, score
+    return 0 if best is None else best + 1
+
+
+def test_tetris_matches_numpy_score_oracle():
+    """Same action as the float64 oracle on seeded random states with 1-3
+    resources, capacities up to 64, and slots holding equal jobs, so that
+    scores tie exactly and the lowest-slot rule decides."""
+    rng = np.random.default_rng(11)
+    checked = ties = 0
+    for _ in range(60):
+        num_resources = int(rng.integers(1, 4))
+        caps = tuple(int(c) for c in rng.integers(1, 65, size=num_resources))
+        cfg = EnvConfig(horizon=int(rng.integers(4, 16)), capacities=caps,
+                        queue_slots=int(rng.integers(2, 7)), backlog_size=10,
+                        episode_limit=200,
+                        resources=tuple(f"r{r}" for r in range(num_resources)))
+        jobs = []
+        for i in range(int(rng.integers(5, 25))):
+            if jobs and rng.random() < 0.5:
+                template = jobs[int(rng.integers(len(jobs)))]
+                duration, demand = template.duration, template.demand
+            else:
+                duration = int(rng.integers(1, cfg.horizon + 1))
+                demand = tuple(int(rng.integers(0, c + 1)) for c in caps)
+                if not any(demand):
+                    demand = (1,) + demand[1:]
+            jobs.append(Job(i, int(rng.integers(0, 6)), duration, demand))
+        env = ClusterEnv(cfg)
+        for lam_short in (0.05, 0.0):
+            env.reset(jobs)
+            while not env.is_done():
+                expected = tetris_oracle(env, lam_short)
+                assert tetris_select(env, lam_short) == expected
+                checked += 1
+                fitting = [(j.duration, j.demand) for _, j in env.queued_jobs()
+                           if env.image.fits_at(j, 0)]
+                ties += len(set(fitting)) < len(fitting)
+                # random moves reach more varied rows than the policy alone
+                env.step(expected if rng.random() < 0.5
+                         else int(rng.integers(0, cfg.queue_slots + 1)))
+    assert checked > 1000 and ties > 100
 
 
 # -- random ------------------------------------------------------------------------

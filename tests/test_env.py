@@ -63,12 +63,12 @@ def test_reset_rejects_duplicate_ids():
         make_env().reset([job(3), job(3)])
 
 
-# -- try_allocate ---------------------------------------------------------------
+# -- earliest_offset ------------------------------------------------------------
 
 
 def test_allocate_empty_image_offset_zero():
     env = make_env().reset([job(0, duration=4, demand=(3, 2))])
-    assert env.try_allocate(env.queue[0]) == 0
+    assert env.image.earliest_offset(env.queue[0]) == 0
 
 
 def test_allocate_scans_to_first_free_row():
@@ -78,7 +78,7 @@ def test_allocate_scans_to_first_free_row():
     target = job(1, duration=1, demand=(4, 1))
     env.reset([filler, target])
     assert env.step(1).reward == 0.0  # filler placed at offset 0
-    assert env.try_allocate(env.queue[1]) == 3
+    assert env.image.earliest_offset(env.queue[1]) == 3
 
 
 def test_allocate_infeasible_within_horizon():
@@ -87,7 +87,7 @@ def test_allocate_infeasible_within_horizon():
     wide = job(1, duration=1, demand=(1, 1))
     env.reset([blocker, wide])
     env.step(1)
-    assert env.try_allocate(env.queue[1]) is None
+    assert env.image.earliest_offset(env.queue[1]) is None
 
 
 # -- step -----------------------------------------------------------------------
@@ -291,7 +291,7 @@ def test_encoding_backlog_unary_column_major():
 
 
 def test_encoding_decodes_to_free_counts():
-    # occupancy block inverts to the free counts try_allocate uses
+    # occupancy block inverts to the free counts the fit search sees
     rng = np.random.default_rng(0)
     cfg = EnvConfig()
     env = ClusterEnv(cfg)
@@ -315,11 +315,13 @@ def test_encoding_decodes_to_free_counts():
 
 @st.composite
 def scenarios(draw):
+    capacities = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
     cfg = EnvConfig(
         horizon=draw(st.integers(2, 7)),
-        capacities=tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=2))),
+        capacities=capacities,
         queue_slots=draw(st.integers(1, 3)),
         backlog_size=draw(st.integers(0, 4)),
+        resources=tuple(f"r{r}" for r in range(len(capacities))),
     )
     jobs = []
     for i in range(draw(st.integers(1, 10))):
@@ -377,6 +379,29 @@ def test_fit_search_and_encoding_match_job_records(scenario):
             break
         env.step(action)
         check()
+
+
+def test_used_is_a_read_only_derived_array():
+    env = make_env().reset([job(0, duration=3, demand=(2, 1))])
+    env.step(1)
+    used = env.image.used
+    assert used.shape == (20, 2) and used.dtype == np.int64
+    assert used[:4].tolist() == [[2, 1], [2, 1], [2, 1], [0, 0]]
+    with pytest.raises(ValueError):
+        used[0, 0] = 0
+    with pytest.raises(ValueError):
+        env.image.used[3] += 1
+    assert env.image.columns == [[2, 2, 2] + [0] * 17, [1, 1, 1] + [0] * 17]
+
+
+def test_place_refuses_a_window_without_room():
+    env = make_env(capacities=(4, 4)).reset([job(0, duration=2, demand=(3, 1))])
+    env.step(1)
+    with pytest.raises(AssertionError, match="placement exceeds capacity"):
+        env.image.place(job(1, duration=1, demand=(2, 1)), 1)
+    with pytest.raises(AssertionError, match="placement exceeds capacity"):
+        env.image.place(job(1, duration=2, demand=(1, 1)), 19)
+    assert env.image.columns[0][:3] == [3, 3, 0]
 
 
 # -- module-level reset helper -----------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -152,3 +153,21 @@ def test_failed_cell_flushes_partial_results_and_manifest(tmp_path):
     with open(tmp_path / "r" / "episodes.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert {r["policy"] for r in rows} == {"sjf"}
+
+
+# sha256 of the result files of the sweep below, recorded before the fit
+# search and the Tetris score left numpy. Any change to the simulator or the
+# heuristics that moves a single byte of their output fails here.
+RECORDED_DIGESTS = {
+    "episodes.csv": "473b385779620138b0fe077c8be8b89c84e2499a9191cb5f593e99cdcb4627fd",
+    "summary.csv": "3af534460dcc92c9ade3015af3f8f8739a90c0e7be0311a7752871c47b37705e",
+}
+
+
+def test_sweep_matches_recorded_digest(tmp_path):
+    spec = ExperimentSpec(policies=("random", "sjf", "tetris"),
+                          job_rates=(0.6, 0.9), seeds=(0,), episodes=3)
+    run_experiment(spec, tmp_path / "r")
+    digests = {name: hashlib.sha256((tmp_path / "r" / name).read_bytes()).hexdigest()
+               for name in RECORDED_DIGESTS}
+    assert digests == RECORDED_DIGESTS
