@@ -3,8 +3,8 @@ metrics harness."""
 
 __version__ = "0.1.0"
 
-from .config import EnvConfig, load_env_config
-from .env import ClusterEnv, Job, StepOutcome, reset
+from .config import EnvConfig
+from .env import ClusterEnv, Job, StepOutcome
 from .workload import WorkloadSpec, TraceMapping, generate, load_trace, save_trace
 from .metrics import EpisodeReport, episode_report, slowdown, waiting_time
 from .agent import (
@@ -12,7 +12,6 @@ from .agent import (
     AgentConfig,
     Transition,
     n_step_returns,
-    td_error,
     train,
 )
 from .baselines import make_policy, random_select, run_greedy, sjf_select, tetris_select
@@ -21,11 +20,9 @@ from .experiment import ExperimentSpec, emit_plot_series, run_experiment
 __all__ = [
     "__version__",
     "EnvConfig",
-    "load_env_config",
     "ClusterEnv",
     "Job",
     "StepOutcome",
-    "reset",
     "WorkloadSpec",
     "TraceMapping",
     "generate",
@@ -39,7 +36,6 @@ __all__ = [
     "AgentConfig",
     "Transition",
     "n_step_returns",
-    "td_error",
     "train",
     "make_policy",
     "random_select",

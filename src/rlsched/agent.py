@@ -52,21 +52,23 @@ class AgentConfig:
     n_steps: int = 5
     entropy_coeff: float = 0.01
     architecture: str = "conv16"
-    action_mode: str = "sample"  # sample | greedy
     fc_hidden: int = 128
     init_scale: float = 1e-3
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.lr_actor <= 0 or self.lr_critic <= 0:
-            raise ConfigError("learning rates must be positive")
+        # chained comparisons are False for NaN, so these also reject NaN
+        for name in ("lr_actor", "lr_critic", "init_scale"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if self.n_steps < 1:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.entropy_coeff < 0:
-            raise ConfigError("entropy_coeff must be >= 0")
-        if self.action_mode not in ("sample", "greedy"):
-            raise ConfigError(f"unknown action_mode {self.action_mode!r}")
+        if not 0.0 <= self.entropy_coeff < math.inf:
+            raise ConfigError(
+                f"entropy_coeff must be finite and >= 0, got {self.entropy_coeff}"
+            )
 
 
 @dataclass
@@ -76,13 +78,6 @@ class Transition:
     reward: float
     next_state: np.ndarray
     done: bool
-
-
-def td_error(transition: Transition, gamma: float, value_fn) -> float:
-    """delta = R + gamma * v(S') - v(S), with v(S') treated as 0 when S' is
-    terminal regardless of what the network would output."""
-    bootstrap = 0.0 if transition.done else value_fn(transition.next_state)
-    return transition.reward + gamma * bootstrap - value_fn(transition.state)
 
 
 def n_step_returns(segment, gamma: float, value_fn, n: int):
@@ -158,13 +153,14 @@ class ActorCriticAgent:
         out, _ = self.critic.forward(self._batch(state))
         return float(out[0, 0])
 
-    def select_action(self, probs: np.ndarray, mode: str | None = None) -> int:
-        mode = mode or self.config.action_mode
+    def select_action(self, probs: np.ndarray, mode: str = "sample") -> int:
+        """Sample from `probs` (training), or take its argmax when `mode` is
+        "greedy" (evaluation)."""
         if mode == "greedy":
             return int(np.argmax(probs))  # argmax takes the first max on ties
         return int(self.rng.choice(len(probs), p=probs))
 
-    def act(self, state: np.ndarray, mode: str | None = None) -> int:
+    def act(self, state: np.ndarray, mode: str = "sample") -> int:
         return self.select_action(self.policy(state), mode)
 
     # -- learning ----------------------------------------------------------------
@@ -326,12 +322,7 @@ def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs,
         steps=len(rewards),
         updates=updates,
         total_reward=float(sum(rewards)),
-        discounted_reward=report.total_discounted_reward,
-        avg_slowdown=report.avg_slowdown,
-        avg_completion_time=report.avg_completion_time,
-        avg_waiting_time=report.avg_waiting_time,
-        completed=report.completed_count,
-        truncated=report.truncated,
+        **dataclasses.asdict(report),
         **sums,
     )
 

@@ -130,12 +130,3 @@ def read_yaml(path: str | Path):
             return yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from None
-
-
-def load_env_config(path: str | Path) -> EnvConfig:
-    """Read an EnvConfig from a YAML file holding either the bare key set or
-    a top-level `env:` section (the harness config file layout)."""
-    raw = read_yaml(path)
-    if isinstance(raw, dict) and "env" in raw:
-        raw = raw["env"]
-    return from_section(EnvConfig, raw, "env")

@@ -169,7 +169,6 @@ class ClusterEnv:
         self.pending: deque[Job] = deque()  # arrived but backlog was full
         self.running: list[Job] = []
         self.completed: list[Job] = []
-        self._finish_row: dict[int, int] = {}  # job id -> absolute finish step
         self._next_arrival = 0
         self._admit_arrivals()
         self._rebalance()
@@ -211,7 +210,6 @@ class ClusterEnv:
         job = self.queue[slot_index]
         self.image.place(job, offset)
         job.started_at = self.clock + offset
-        self._finish_row[job.id] = job.started_at + job.duration
         self.queue[slot_index] = None
         self.running.append(job)
         self._rebalance()
@@ -225,12 +223,12 @@ class ClusterEnv:
         self.image.shift_up()
 
         completions = [
-            job for job in self.running if self._finish_row[job.id] == self.clock
+            job for job in self.running
+            if job.started_at + job.duration == self.clock
         ]
         for job in completions:
             job.finished_at = self.clock
             self.running.remove(job)
-            del self._finish_row[job.id]
             self.completed.append(job)
 
         self._admit_arrivals()
@@ -316,15 +314,3 @@ class ClusterEnv:
     def queued_jobs(self) -> list[tuple[int, Job]]:
         """(slot_index, job) pairs for occupied slots; slot_index is 0-based."""
         return [(i, j) for i, j in enumerate(self.queue) if j is not None]
-
-    def jobs_in_system(self) -> int:
-        return (
-            len(self.running)
-            + sum(j is not None for j in self.queue)
-            + len(self.backlog)
-        )
-
-
-def reset(config: EnvConfig, jobs) -> ClusterEnv:
-    """Build and initialize an environment in one call."""
-    return ClusterEnv(config).reset(jobs)

@@ -23,20 +23,11 @@ from .baselines import make_policy, run_greedy
 from .config import EnvConfig, check_seed
 from .env import ClusterEnv
 from .errors import ConfigError
-from .metrics import format_cell
+from .metrics import EpisodeReport, format_cell
 from .workload import WorkloadSpec, generate
 
-EPISODE_COLUMNS = (
-    "policy",
-    "job_rate",
-    "seed",
-    "episode",
-    "completed",
-    "truncated",
-    "avg_slowdown",
-    "avg_completion_time",
-    "avg_waiting_time",
-    "discounted_reward",
+EPISODE_COLUMNS = ("policy", "job_rate", "seed", "episode") + tuple(
+    f.name for f in dataclasses.fields(EpisodeReport)
 )
 
 SUMMARY_METRICS = (
@@ -119,12 +110,7 @@ def run_cell(spec: ExperimentSpec, policy_kind: str, rate_index: int,
                 "job_rate": rate,
                 "seed": seed,
                 "episode": episode,
-                "completed": report.completed_count,
-                "truncated": report.truncated,
-                "avg_slowdown": report.avg_slowdown,
-                "avg_completion_time": report.avg_completion_time,
-                "avg_waiting_time": report.avg_waiting_time,
-                "discounted_reward": report.total_discounted_reward,
+                **dataclasses.asdict(report),
             }
         )
     return rows

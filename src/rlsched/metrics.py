@@ -34,12 +34,15 @@ def waiting_time(job) -> float:
 
 @dataclass
 class EpisodeReport:
+    """One episode's outcome; the fields are the result-file columns, in
+    their order."""
+
+    completed: int
+    truncated: bool
     avg_slowdown: float | None
     avg_completion_time: float | None
     avg_waiting_time: float | None
-    total_discounted_reward: float
-    completed_count: int
-    truncated: bool
+    discounted_reward: float
 
 
 def format_cell(value) -> str:
@@ -70,14 +73,14 @@ def episode_report(outcomes, rewards, gamma: float, total_jobs: int | None = Non
     n = len(completed)
     truncated = total_jobs is not None and n < total_jobs
     if n == 0:
-        return EpisodeReport(None, None, None, discounted_total(rewards, gamma), 0,
-                             truncated)
+        return EpisodeReport(0, truncated, None, None, None,
+                             discounted_total(rewards, gamma))
     # fsum keeps the averages exactly permutation-invariant
     return EpisodeReport(
+        completed=n,
+        truncated=truncated,
         avg_slowdown=math.fsum(slowdown(j) for j in completed) / n,
         avg_completion_time=math.fsum(completion_time(j) for j in completed) / n,
         avg_waiting_time=math.fsum(waiting_time(j) for j in completed) / n,
-        total_discounted_reward=discounted_total(rewards, gamma),
-        completed_count=n,
-        truncated=truncated,
+        discounted_reward=discounted_total(rewards, gamma),
     )

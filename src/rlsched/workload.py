@@ -28,7 +28,6 @@ class WorkloadSpec:
     large_duration_range: tuple[int, int] = (10, 15)
     dominant_demand_range: tuple[int, int] = (3, 5)
     other_demand_range: tuple[int, int] = (1, 2)
-    num_resources: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -46,7 +45,7 @@ def _check_range(name: str, rng: tuple[int, int], low: int) -> None:
         raise SpecError(f"{name} must be a [low, high] pair, got {rng!r}") from None
 
 
-def validate_spec(spec: WorkloadSpec, config: EnvConfig | None = None) -> None:
+def validate_spec(spec: WorkloadSpec, config: EnvConfig) -> None:
     if not 0.0 <= spec.rate <= 1.0:
         raise SpecError(f"rate must be in [0, 1], got {spec.rate}")
     if spec.length < 0:
@@ -57,30 +56,20 @@ def validate_spec(spec: WorkloadSpec, config: EnvConfig | None = None) -> None:
     _check_range("large_duration_range", spec.large_duration_range, 1)
     _check_range("dominant_demand_range", spec.dominant_demand_range, 1)
     _check_range("other_demand_range", spec.other_demand_range, 0)
-    if spec.num_resources < 1:
-        raise SpecError("num_resources must be >= 1")
-    if config is not None:
-        max_dur = max(spec.small_duration_range[1], spec.large_duration_range[1])
-        if max_dur > config.horizon:
-            raise SpecError(
-                f"max duration {max_dur} exceeds horizon {config.horizon}"
-            )
-        if spec.num_resources != config.num_resources:
-            raise SpecError(
-                f"spec has {spec.num_resources} resources, config "
-                f"{config.num_resources}"
-            )
-        max_dem = max(spec.dominant_demand_range[1], spec.other_demand_range[1])
-        if max_dem > min(config.capacities):
-            raise SpecError(
-                f"max demand {max_dem} exceeds capacity {min(config.capacities)}"
-            )
+    max_dur = max(spec.small_duration_range[1], spec.large_duration_range[1])
+    if max_dur > config.horizon:
+        raise SpecError(f"max duration {max_dur} exceeds horizon {config.horizon}")
+    max_dem = max(spec.dominant_demand_range[1], spec.other_demand_range[1])
+    if max_dem > min(config.capacities):
+        raise SpecError(
+            f"max demand {max_dem} exceeds capacity {min(config.capacities)}"
+        )
 
 
-def generate(spec: WorkloadSpec, config: EnvConfig | None = None) -> list[Job]:
-    """Sample a job sequence. Pure in `spec`: the same spec always yields the
-    identical sequence. When `config` is given the spec is also checked
-    against the cluster dimensions."""
+def generate(spec: WorkloadSpec, config: EnvConfig) -> list[Job]:
+    """Sample a job sequence with one demand per resource of `config`, after
+    checking the spec against the cluster dimensions. Pure in (spec, config):
+    the same pair always yields the identical sequence."""
     validate_spec(spec, config)
     rng = np.random.default_rng(spec.seed)
     jobs = []
@@ -92,9 +81,9 @@ def generate(spec: WorkloadSpec, config: EnvConfig | None = None) -> list[Job]:
         else:
             lo, hi = spec.large_duration_range
         duration = int(rng.integers(lo, hi + 1))
-        dominant = int(rng.integers(spec.num_resources))
+        dominant = int(rng.integers(config.num_resources))
         demand = []
-        for r in range(spec.num_resources):
+        for r in range(config.num_resources):
             lo, hi = (
                 spec.dominant_demand_range
                 if r == dominant
@@ -136,8 +125,8 @@ def load_trace(
     the earliest is step 0 and the result is sorted by arrival.
     """
     mapping = mapping or TraceMapping()
-    if time_scale <= 0:
-        raise ConfigError(f"time_scale must be positive, got {time_scale}")
+    if not 0.0 < time_scale < math.inf:  # False for NaN too
+        raise ConfigError(f"time_scale must be finite and > 0, got {time_scale}")
     if len(mapping.demand_columns) != config.num_resources:
         raise ParseError(
             f"mapping names {len(mapping.demand_columns)} demand columns, "
@@ -159,22 +148,24 @@ def load_trace(
             line = reader.line_num
             try:
                 job_id = int(record[mapping.job_id])
-                arrival_raw = float(record[mapping.arrival])
-                duration_raw = float(record[mapping.duration])
+                arrival_steps = float(record[mapping.arrival]) / time_scale
+                duration_steps = float(record[mapping.duration]) / time_scale
                 demand = tuple(int(record[c]) for c in mapping.demand_columns)
             except (TypeError, ValueError) as exc:
                 raise ParseError(str(exc), line=line) from exc
-            rows.append((job_id, arrival_raw, duration_raw, demand))
+            if not (math.isfinite(arrival_steps) and math.isfinite(duration_steps)):
+                raise ParseError("times must be finite numbers of steps", line=line)
+            rows.append((job_id, arrival_steps, duration_steps, demand))
 
     seen = set()
     jobs = []
-    for job_id, arrival_raw, duration_raw, demand in rows:
+    for job_id, arrival_steps, duration_steps, demand in rows:
         if job_id in seen:
             raise ValidationError("duplicate job id", job_id=job_id)
         seen.add(job_id)
-        if arrival_raw < 0:
+        if arrival_steps < 0:
             raise ValidationError("negative arrival time", job_id=job_id)
-        if duration_raw <= 0:
+        if duration_steps <= 0:
             raise ValidationError("duration must be positive", job_id=job_id)
         for d, cap, name in zip(demand, config.capacities, config.resources):
             if d < 0:
@@ -185,8 +176,8 @@ def load_trace(
                 )
         if not any(demand):
             raise ValidationError("demand must be positive somewhere", job_id=job_id)
-        arrival = math.floor(arrival_raw / time_scale)
-        duration = math.ceil(duration_raw / time_scale)
+        arrival = math.floor(arrival_steps)
+        duration = math.ceil(duration_steps)
         if duration > config.horizon:
             raise ValidationError(
                 f"duration {duration} steps exceeds horizon {config.horizon}",

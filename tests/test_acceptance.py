@@ -140,7 +140,7 @@ def test_criterion_3_sjf_oracle():
         jobs = [Job(i, 0, d, (1, 1)) for i, d in enumerate(durations)]
         env.reset(jobs)
         rep = run_greedy(make_policy("sjf"), env)
-        assert rep.completed_count == n
+        assert rep.completed == n
         assert rep.avg_waiting_time == brute_force_min_avg_waiting(durations)
         checked += 1
     elapsed = time.time() - started

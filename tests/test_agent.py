@@ -9,7 +9,6 @@ from rlsched.agent import (
     Transition,
     architecture_chain,
     n_step_returns,
-    td_error,
     train,
 )
 from rlsched.baselines import make_policy, run_greedy
@@ -169,11 +168,17 @@ def test_select_action_sampling_frequencies():
     assert (np.abs(counts - draws / 4) <= 3 * sigma).all()
 
 
-# -- td_error ---------------------------------------------------------------------
+# -- one-step TD error: the advantage of n_step_returns with n=1 -------------------
 
 
 def value_table(mapping):
     return lambda s: mapping[s.tobytes()]
+
+
+def td_error(transition, gamma, value_fn):
+    """delta = R + gamma * v(S') - v(S), through n_step_returns with n=1."""
+    _, advantages = n_step_returns([transition], gamma, value_fn, 1)
+    return advantages[0]
 
 
 def test_td_error_formula():
@@ -225,7 +230,8 @@ def test_n_step_one_equals_td_error():
     vf = value_table(values)
     targets, _ = n_step_returns(segment, 0.9, vf, 1)
     for t, tr in enumerate(segment):
-        assert targets[t] == pytest.approx(td_error(tr, 0.9, vf) + vf(tr.state))
+        bootstrap = 0.0 if tr.done else vf(tr.next_state)
+        assert targets[t] == pytest.approx(tr.reward + 0.9 * bootstrap)
 
 
 def test_n_step_gamma_zero_targets_are_rewards():
@@ -437,7 +443,7 @@ def test_train_single_job_reaches_optimum():
     env.reset(jobs)
     report = run_greedy(make_policy("a2c", agent=agent), env)
     assert report.avg_slowdown == pytest.approx(1.0)
-    assert report.completed_count == 1
+    assert report.completed == 1
 
 
 def test_train_divergence_carries_episode_index():

@@ -235,8 +235,8 @@ def test_make_policy_argument_validation():
 def test_run_greedy_empty_workload():
     env = ClusterEnv(EnvConfig()).reset([])
     report = run_greedy(make_policy("sjf"), env)
-    assert report.completed_count == 0
-    assert report.total_discounted_reward == 0.0
+    assert report.completed == 0
+    assert report.discounted_reward == 0.0
 
 
 def test_run_greedy_single_job_slowdown_one():
@@ -281,5 +281,5 @@ def test_sjf_matches_brute_force_on_serial_instances():
         jobs = [Job(i, 0, d, (1, 1)) for i, d in enumerate(durations)]
         env.reset(jobs)
         report = run_greedy(make_policy("sjf"), env)
-        assert report.completed_count == n
+        assert report.completed == n
         assert report.avg_waiting_time == brute_force_min_avg_waiting(durations)

@@ -165,6 +165,14 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
         ("sweep", "experiment: {seeds: [0, -1]}\n", "ConfigError", "seed"),
         ("train", "workload: {seed: -1}\n", "ConfigError", "seed"),
         ("evaluate", "workload: {seed: -1}\n", "ConfigError", "seed"),
+        ("train", "agent: {lr_actor: .nan}\n", "ConfigError", "lr_actor"),
+        ("train", "agent: {lr_actor: .inf}\n", "ConfigError", "lr_actor"),
+        ("train", "agent: {lr_critic: .nan}\n", "ConfigError", "lr_critic"),
+        ("train", "agent: {entropy_coeff: .nan}\n", "ConfigError",
+         "entropy_coeff"),
+        ("train", "agent: {entropy_coeff: .inf}\n", "ConfigError",
+         "entropy_coeff"),
+        ("train", "agent: {init_scale: -0.5}\n", "ConfigError", "init_scale"),
     ],
     ids=["non-integer-env-value", "malformed-yaml", "non-pair-range",
          "non-integer-agent-value", "non-integer-train-value",
@@ -172,7 +180,9 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
          "list-for-scalar", "unknown-train-key", "scalar-for-list",
          "trace-section", "experiment-sets-env", "negative-train-episodes",
          "negative-experiment-seed", "negative-workload-seed-train",
-         "negative-workload-seed-evaluate"],
+         "negative-workload-seed-evaluate", "nan-lr-actor", "inf-lr-actor",
+         "nan-lr-critic", "nan-entropy-coeff", "inf-entropy-coeff",
+         "negative-init-scale"],
 )
 def test_malformed_config_value_fails_with_json_error(tmp_path, capsys, command,
                                                       text, error, fragment):
@@ -186,6 +196,7 @@ def test_malformed_config_value_fails_with_json_error(tmp_path, capsys, command,
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == error
     assert fragment in payload["message"]
+    assert not list((tmp_path / "o").rglob("*"))  # no result file written
 
 
 def test_malformed_flag_fails_with_json_error(tmp_path, capsys):

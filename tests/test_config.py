@@ -1,7 +1,9 @@
 import pytest
 import yaml
 
-from rlsched.config import EnvConfig, from_section, load_env_config
+from rlsched.agent import AgentConfig
+from rlsched.cli import TrainSpec, load_harness_config
+from rlsched.config import EnvConfig, from_section, read_yaml
 from rlsched.errors import ConfigError
 from rlsched.experiment import ExperimentSpec
 from rlsched.workload import WorkloadSpec
@@ -90,7 +92,7 @@ def test_load_from_file(tmp_path):
             }
         )
     )
-    cfg = load_env_config(path)
+    cfg = from_section(EnvConfig, read_yaml(path), "env")
     assert cfg.horizon == 12
     assert cfg.capacities == (6, 8)
 
@@ -98,9 +100,13 @@ def test_load_from_file(tmp_path):
 def test_load_from_harness_file_with_env_section(tmp_path):
     path = tmp_path / "harness.yaml"
     path.write_text(yaml.safe_dump({"env": {"horizon": 9}}))
-    assert load_env_config(path).horizon == 9
+    raw = load_harness_config(str(path))
+    assert from_section(EnvConfig, raw.get("env"), "env").horizon == 9
 
 
 def test_load_repo_default_config():
-    cfg = load_env_config("configs/default.yaml")
-    assert cfg == EnvConfig()
+    # the file documents the defaults (its experiment section sets a sweep)
+    raw = load_harness_config("configs/default.yaml")
+    for cls, section in [(EnvConfig, "env"), (WorkloadSpec, "workload"),
+                         (AgentConfig, "agent"), (TrainSpec, "train")]:
+        assert from_section(cls, raw[section], section) == cls()

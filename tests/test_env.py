@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlsched.config import EnvConfig
-from rlsched.env import ClusterEnv, Job, reset
+from rlsched.env import ClusterEnv, Job
 from rlsched.errors import ConfigError, EpisodeFinished, InvalidActionError
 
 
@@ -196,10 +196,9 @@ def test_completion_lifecycle():
 
 def test_arrivals_admitted_on_their_step():
     env = make_env().reset([job(0, arrival=2)])
-    assert env.jobs_in_system() == 0
-    env.advance_time()
-    assert env.jobs_in_system() == 0
-    env.advance_time()
+    for _ in range(2):
+        assert env.queued_jobs() == [] and not env.backlog and not env.running
+        env.advance_time()
     assert env.queue[0] is not None
 
 
@@ -404,11 +403,11 @@ def test_place_refuses_a_window_without_room():
     assert env.image.columns[0][:3] == [3, 3, 0]
 
 
-# -- module-level reset helper -----------------------------------------------------
+# -- reset returns the environment ------------------------------------------------
 
 
 def test_reset_function_returns_initialized_env():
-    env = reset(EnvConfig(), [job(0)])
+    env = ClusterEnv(EnvConfig()).reset([job(0)])
     assert env.queue[0].id == 0
 
 

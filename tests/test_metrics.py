@@ -55,7 +55,7 @@ def test_report_empty_outcomes_absent_values():
     assert report.avg_slowdown is None
     assert report.avg_completion_time is None
     assert report.truncated
-    assert report.total_discounted_reward == pytest.approx(-1.5)
+    assert report.discounted_reward == pytest.approx(-1.5)
 
 
 def test_report_single_job():

@@ -13,37 +13,39 @@ from rlsched.workload import (
     save_trace,
 )
 
+CFG = EnvConfig()
+
 
 def test_rate_zero_gives_empty_sequence():
-    assert generate(WorkloadSpec(rate=0.0, length=100, seed=1)) == []
+    assert generate(WorkloadSpec(rate=0.0, length=100, seed=1), CFG) == []
 
 
 def test_rate_one_gives_one_job_per_step():
-    jobs = generate(WorkloadSpec(rate=1.0, length=10, seed=2))
+    jobs = generate(WorkloadSpec(rate=1.0, length=10, seed=2), CFG)
     assert len(jobs) == 10
     assert [j.arrival for j in jobs] == list(range(10))
 
 
 def test_job_count_binomial_concentration():
     # length 10000 at rate 0.7: 3 sigma = 3 * sqrt(10000 * 0.7 * 0.3) ~ 137.5
-    jobs = generate(WorkloadSpec(rate=0.7, length=10_000, seed=5))
+    jobs = generate(WorkloadSpec(rate=0.7, length=10_000, seed=5), CFG)
     assert abs(len(jobs) - 7000) <= 3 * math.sqrt(10_000 * 0.7 * 0.3)
 
 
 def test_empirical_rate_converges():
     length = 100_000
-    jobs = generate(WorkloadSpec(rate=0.7, length=length, seed=11))
+    jobs = generate(WorkloadSpec(rate=0.7, length=length, seed=11), CFG)
     assert abs(len(jobs) / length - 0.7) <= 0.01
 
 
 def test_generate_is_pure_in_spec():
     spec = WorkloadSpec(rate=0.5, length=200, seed=13)
-    assert generate(spec) == generate(spec)
+    assert generate(spec, CFG) == generate(spec, CFG)
 
 
 def test_generated_fields_respect_ranges():
     spec = WorkloadSpec(rate=0.9, length=500, seed=3)
-    jobs = generate(spec)
+    jobs = generate(spec, CFG)
     smalls = 0
     for j in jobs:
         assert 1 <= j.duration <= 15
@@ -56,6 +58,13 @@ def test_generated_fields_respect_ranges():
     assert smalls / len(jobs) == pytest.approx(0.8, abs=0.06)
 
 
+def test_generate_draws_one_demand_per_config_resource():
+    cfg = EnvConfig(capacities=(10, 10, 10), resources=("cpu", "memory", "gpu"))
+    jobs = generate(WorkloadSpec(rate=1.0, length=50, seed=4), cfg)
+    assert all(len(j.demand) == 3 for j in jobs)
+    assert {j.demand.index(max(j.demand)) for j in jobs} == {0, 1, 2}
+
+
 def test_generate_checks_spec_against_config():
     spec = WorkloadSpec(large_duration_range=(10, 25))
     with pytest.raises(SpecError):
@@ -64,13 +73,13 @@ def test_generate_checks_spec_against_config():
 
 def test_invalid_specs_rejected():
     with pytest.raises(SpecError):
-        generate(WorkloadSpec(rate=1.2))
+        generate(WorkloadSpec(rate=1.2), CFG)
     with pytest.raises(SpecError):
-        generate(WorkloadSpec(small_duration_range=(3, 1)))
+        generate(WorkloadSpec(small_duration_range=(3, 1)), CFG)
     with pytest.raises(SpecError):
-        generate(WorkloadSpec(dominant_demand_range=(0, 2)))
+        generate(WorkloadSpec(dominant_demand_range=(0, 2)), CFG)
     with pytest.raises(SpecError):
-        generate(WorkloadSpec(small_duration_range=5))
+        generate(WorkloadSpec(small_duration_range=5), CFG)
 
 
 # -- traces ------------------------------------------------------------------------
@@ -168,6 +177,31 @@ def test_trace_nonpositive_time_scale_rejected(tmp_path):
         load_trace(path, EnvConfig(), time_scale=0)
 
 
+@pytest.mark.parametrize(
+    "row, time_scale, error",
+    [
+        ("1,nan,1,2,1", 1.0, ParseError),
+        ("1,inf,1,2,1", 1.0, ParseError),
+        ("1,0,nan,2,1", 1.0, ParseError),
+        ("1,0,-inf,2,1", 1.0, ParseError),
+        ("1,1e308,1,2,1", 0.1, ParseError),  # finite, but not once in steps
+        ("1,0,1,2,1", math.nan, ConfigError),
+        ("1,0,1,2,1", math.inf, ConfigError),
+    ],
+    ids=["nan-arrival", "inf-arrival", "nan-duration", "minus-inf-duration",
+         "arrival-overflows-in-steps", "nan-time-scale", "inf-time-scale"],
+)
+def test_trace_non_finite_times_rejected(tmp_path, row, time_scale, error):
+    path = write(
+        tmp_path,
+        f"job_id,arrival_time,duration,cpu_req,mem_req\n2,0,1,2,1\n{row}\n",
+    )
+    with pytest.raises(error) as err:
+        load_trace(path, EnvConfig(), time_scale=time_scale)
+    if error is ParseError:
+        assert err.value.line == 3
+
+
 def test_trace_duplicate_ids_rejected(tmp_path):
     path = write(
         tmp_path,
@@ -191,7 +225,7 @@ def test_trace_column_mapping(tmp_path):
 
 
 def test_save_then_load_round_trip(tmp_path):
-    jobs = generate(WorkloadSpec(rate=0.8, length=40, seed=21))
+    jobs = generate(WorkloadSpec(rate=0.8, length=40, seed=21), CFG)
     jobs[0].arrival = 0  # canonical form: rebased arrivals survive reload
     path = tmp_path / "out.csv"
     save_trace(jobs, path)
