@@ -271,6 +271,7 @@ class _LogWriter:
     """Append-only CSV training log, one row per episode."""
 
     def __init__(self, path):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         self.fh = open(path, "w", newline="")
         self.writer = csv.writer(self.fh)
         self.writer.writerow(TRAINING_LOG_COLUMNS)

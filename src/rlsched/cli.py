@@ -48,8 +48,9 @@ class TrainSpec:
 
 
 def load_harness_config(path: str | None) -> dict:
-    """Read the harness config file; unknown sections are rejected here, and
-    each section is checked when `from_section` builds it."""
+    """Read the harness config file; unknown sections and `workload.seed`
+    are rejected here, and each section is checked when `from_section`
+    builds it."""
     raw = {}
     if path:
         raw = read_yaml(path) or {}
@@ -58,6 +59,9 @@ def load_harness_config(path: str | None) -> dict:
         unknown = set(raw) - set(CONFIG_SECTIONS)
         if unknown:
             raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
+        if isinstance(raw.get("workload"), dict) and "seed" in raw["workload"]:
+            raise ConfigError(f"{path}: workload.seed is not a setting; seeds "
+                              "come from --seed, --seeds or experiment.seeds")
     return raw
 
 
@@ -107,7 +111,6 @@ def cmd_train(args) -> int:
                              architecture=args.arch)
     sequences = _training_sequences(env_cfg, workload, spec.sequences, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     records, agent = train(
         env_cfg,
         sequences,

@@ -18,6 +18,7 @@ for inspection.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from collections import deque
@@ -25,7 +26,7 @@ from collections import deque
 import numpy as np
 
 from .config import EnvConfig
-from .errors import ConfigError, EpisodeFinished, InvalidActionError
+from .errors import EpisodeFinished, InvalidActionError, ValidationError
 
 
 @dataclass
@@ -50,32 +51,38 @@ class StepOutcome:
     info: dict
 
 
-def validate_job(job: Job, config: EnvConfig) -> None:
+def validate_jobs(jobs, config: EnvConfig) -> None:
+    """The one rule for a valid job, whatever its source: checks `jobs` in
+    order and raises ValidationError with the id of the first bad one."""
+    seen = set()
+    for job in jobs:
+        fault = _job_fault(job, config, seen)
+        if fault:
+            raise ValidationError(fault, job_id=job.id)
+        seen.add(job.id)
+
+
+def _job_fault(job: Job, config: EnvConfig, seen_ids) -> str | None:
+    if job.id in seen_ids:
+        return "duplicate job id"
     if job.id < 0:
-        raise ConfigError(f"job id must be >= 0, got {job.id}")
+        return "id must be >= 0"
     if job.arrival < 0:
-        raise ConfigError(f"job {job.id}: arrival must be >= 0")
+        return "arrival must be >= 0"
     if job.duration < 1:
-        raise ConfigError(f"job {job.id}: duration must be >= 1")
+        return "duration must be >= 1"
     if job.duration > config.horizon:
-        raise ConfigError(
-            f"job {job.id}: duration {job.duration} exceeds horizon {config.horizon}"
-        )
+        return f"duration {job.duration} exceeds horizon {config.horizon}"
     if len(job.demand) != config.num_resources:
-        raise ConfigError(
-            f"job {job.id}: demand has {len(job.demand)} components, "
-            f"expected {config.num_resources}"
-        )
-    if any(d < 0 for d in job.demand):
-        raise ConfigError(f"job {job.id}: negative demand {job.demand}")
-    if not any(d > 0 for d in job.demand):
-        raise ConfigError(f"job {job.id}: demand must be positive somewhere")
-    for r, (d, cap) in enumerate(zip(job.demand, config.capacities)):
+        return (f"demand has {len(job.demand)} components, "
+                f"expected {config.num_resources}")
+    for d, cap, name in zip(job.demand, config.capacities, config.resources):
+        if d < 0:
+            return f"negative {name} demand"
         if d > cap:
-            raise ConfigError(
-                f"job {job.id}: demand {d} exceeds capacity {cap} "
-                f"for resource {config.resources[r]}"
-            )
+            return f"{name} demand {d} exceeds capacity {cap}"
+    if not any(job.demand):
+        return "demand must be positive somewhere"
 
 
 class ClusterImage:
@@ -138,9 +145,14 @@ class ClusterImage:
 class ClusterEnv:
     """Single-cluster scheduling environment.
 
-    Reachable job states: not-yet-arrived (including arrivals deferred while
-    the backlog is full), queue slot, backlog, running (allocated, possibly
-    at a future start row), completed. Exactly one holds at any time.
+    Arrived jobs that hold no queue slot wait in one FIFO, `waiting`; each
+    empty slot takes the head of it. Its first `backlog_size` jobs are the
+    backlog, which the reward charges and the observation counts; the rest
+    are arrivals deferred while the backlog is full, invisible to both.
+
+    Reachable job states: not yet arrived, deferred, backlog, queue slot,
+    running (allocated, possibly at a future start row), completed. Exactly
+    one holds at any time.
     """
 
     def __init__(self, config: EnvConfig | None = None):
@@ -155,18 +167,14 @@ class ClusterEnv:
         caller's list is never mutated). Deterministic in (config, jobs)."""
         config = self.config
         incoming = [j.fresh_copy() for j in jobs]
-        for job in incoming:
-            validate_job(job, config)
+        validate_jobs(incoming, config)
         incoming.sort(key=lambda j: j.arrival)  # stable: ties keep input order
-        if len({j.id for j in incoming}) != len(incoming):
-            raise ConfigError("duplicate job ids in sequence")
 
         self.jobs = incoming
         self.clock = 0
         self.image = ClusterImage(config)
         self.queue: list[Job | None] = [None] * config.queue_slots
-        self.backlog: deque[Job] = deque()
-        self.pending: deque[Job] = deque()  # arrived but backlog was full
+        self.waiting: deque[Job] = deque()
         self.running: list[Job] = []
         self.completed: list[Job] = []
         self._next_arrival = 0
@@ -181,28 +189,14 @@ class ClusterEnv:
             self._next_arrival < len(self.jobs)
             and self.jobs[self._next_arrival].arrival <= self.clock
         ):
-            self.pending.append(self.jobs[self._next_arrival])
+            self.waiting.append(self.jobs[self._next_arrival])
             self._next_arrival += 1
 
-    def _free_slot(self) -> int | None:
-        for i, job in enumerate(self.queue):
-            if job is None:
-                return i
-        return None
-
     def _rebalance(self) -> None:
-        """Backlog heads fill free slots first (FIFO), then deferred arrivals
-        flow into whatever space remains (slots, then backlog)."""
-        while True:
-            slot = self._free_slot()
-            if self.backlog and slot is not None:
-                self.queue[slot] = self.backlog.popleft()
-            elif self.pending and slot is not None and not self.backlog:
-                self.queue[slot] = self.pending.popleft()
-            elif self.pending and len(self.backlog) < self.config.backlog_size:
-                self.backlog.append(self.pending.popleft())
-            else:
-                return
+        """Fill each empty slot, lowest first, from the head of `waiting`."""
+        for i, job in enumerate(self.queue):
+            if job is None and self.waiting:
+                self.queue[i] = self.waiting.popleft()
 
     # -- scheduling -----------------------------------------------------------
 
@@ -239,7 +233,7 @@ class ClusterEnv:
         in_system = (
             self.running
             + [j for j in self.queue if j is not None]
-            + list(self.backlog)
+            + list(itertools.islice(self.waiting, self.config.backlog_size))
         )
         return -sum(1.0 / j.duration for j in in_system)
 
@@ -303,7 +297,7 @@ class ClusterEnv:
                 if job is not None:
                     image[: job.duration, col : col + job.demand[r]] = 1.0
                 col += cap
-        full, rem = divmod(len(self.backlog), h)
+        full, rem = divmod(min(len(self.waiting), self.config.backlog_size), h)
         image[:, col : col + full] = 1.0
         if rem:
             image[:rem, col + full] = 1.0

@@ -32,8 +32,8 @@ class ParseError(RlschedError):
         super().__init__(message)
 
 
-class ValidationError(RlschedError):
-    """A parsed job violates the job invariants; carries the job id."""
+class ValidationError(ConfigError):
+    """A job violates the job invariants; carries the job id."""
 
     def __init__(self, message, job_id=None):
         self.job_id = job_id

@@ -45,7 +45,6 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     episodes: int = 20
     summary_window: int = 50
-    gamma: float = 0.99
     lam_short: float = 0.05
     env: EnvConfig = field(default_factory=EnvConfig)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
@@ -103,7 +102,7 @@ def run_cell(spec: ExperimentSpec, policy_kind: str, rate_index: int,
             dataclasses.replace(spec.workload, rate=rate, seed=wseed), spec.env
         )
         env.reset(jobs)
-        report = run_greedy(policy, env, gamma=spec.gamma)
+        report = run_greedy(policy, env, gamma=spec.agent.gamma)
         rows.append(
             {
                 "policy": policy_kind,

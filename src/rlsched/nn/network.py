@@ -301,11 +301,11 @@ class Network:
         # each window's gradient goes to its first corner equal to the max,
         # or that is NaN when the max is NaN
         dx = np.zeros(x.shape, dtype=self.dtype)
-        pending = np.ones(out.shape, dtype=bool)
+        unrouted = np.ones(out.shape, dtype=bool)
         for corner, dcorner in zip(_corners(x), _corners(dx)):
-            hit = pending & ((corner == out) | np.isnan(corner))
+            hit = unrouted & ((corner == out) | np.isnan(corner))
             np.copyto(dcorner, grad, where=hit)
-            pending &= ~hit
+            unrouted &= ~hit
         return dx
 
     # -- parameter updates -----------------------------------------------------

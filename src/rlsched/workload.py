@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import EnvConfig, check_seed
-from .env import Job
-from .errors import ConfigError, ParseError, SpecError, ValidationError
+from .env import Job, validate_jobs
+from .errors import ConfigError, ParseError, SpecError
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,9 @@ def load_trace(
     """Ingest a comma-separated job trace.
 
     Times are divided by `time_scale` and quantized: arrivals floor, durations
-    ceiling (a job never rounds down to zero steps). Arrivals are rebased so
+    ceiling (a job never rounds down to zero steps). The jobs then pass the
+    simulator's own `validate_jobs`, in file order, so a bad row fails here
+    with a ValidationError that carries its job id. Arrivals are rebased so
     the earliest is step 0 and the result is sorted by arrival.
     """
     mapping = mapping or TraceMapping()
@@ -133,7 +135,7 @@ def load_trace(
             f"config has {config.num_resources} resources"
         )
 
-    rows = []
+    jobs = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -155,35 +157,9 @@ def load_trace(
                 raise ParseError(str(exc), line=line) from exc
             if not (math.isfinite(arrival_steps) and math.isfinite(duration_steps)):
                 raise ParseError("times must be finite numbers of steps", line=line)
-            rows.append((job_id, arrival_steps, duration_steps, demand))
-
-    seen = set()
-    jobs = []
-    for job_id, arrival_steps, duration_steps, demand in rows:
-        if job_id in seen:
-            raise ValidationError("duplicate job id", job_id=job_id)
-        seen.add(job_id)
-        if arrival_steps < 0:
-            raise ValidationError("negative arrival time", job_id=job_id)
-        if duration_steps <= 0:
-            raise ValidationError("duration must be positive", job_id=job_id)
-        for d, cap, name in zip(demand, config.capacities, config.resources):
-            if d < 0:
-                raise ValidationError(f"negative {name} demand", job_id=job_id)
-            if d > cap:
-                raise ValidationError(
-                    f"{name} demand {d} exceeds capacity {cap}", job_id=job_id
-                )
-        if not any(demand):
-            raise ValidationError("demand must be positive somewhere", job_id=job_id)
-        arrival = math.floor(arrival_steps)
-        duration = math.ceil(duration_steps)
-        if duration > config.horizon:
-            raise ValidationError(
-                f"duration {duration} steps exceeds horizon {config.horizon}",
-                job_id=job_id,
-            )
-        jobs.append(Job(id=job_id, arrival=arrival, duration=duration, demand=demand))
+            jobs.append(Job(id=job_id, arrival=math.floor(arrival_steps),
+                            duration=math.ceil(duration_steps), demand=demand))
+    validate_jobs(jobs, config)
 
     if jobs:
         base = min(j.arrival for j in jobs)

@@ -2,6 +2,16 @@
 import numpy as np
 
 
+def backlog(env):
+    """The backlog: the first `backlog_size` jobs of the waiting line."""
+    return list(env.waiting)[: env.config.backlog_size]
+
+
+def deferred(env):
+    """Arrivals deferred while the backlog is full: the rest of the line."""
+    return list(env.waiting)[env.config.backlog_size :]
+
+
 def check_invariants(env):
     """Raise AssertionError if any structural invariant is violated."""
     cfg = env.config
@@ -12,18 +22,18 @@ def check_invariants(env):
     not_arrived = len(env.jobs) - env._next_arrival
     total = (
         not_arrived
-        + len(env.pending)
+        + len(deferred(env))
         + len(queued)
-        + len(env.backlog)
+        + len(backlog(env))
         + len(env.running)
         + len(env.completed)
     )
     assert total == len(env.jobs), "job conservation violated"
 
     buckets = [
-        {j.id for j in env.pending},
+        {j.id for j in deferred(env)},
         {j.id for j in queued},
-        {j.id for j in env.backlog},
+        {j.id for j in backlog(env)},
         {j.id for j in env.running},
         {j.id for j in env.completed},
     ]
@@ -44,11 +54,14 @@ def check_invariants(env):
     assert (env.image.used == expected).all(), "occupancy mismatch"
     assert (env.image.used <= np.asarray(cfg.capacities)).all(), "capacity exceeded"
 
-    # backlog and pending stay in admission (arrival-stable) order
+    # backlog and deferred arrivals stay in admission (arrival-stable) order
     order = {j.id: i for i, j in enumerate(env.jobs)}
-    for queue in (env.backlog, env.pending):
+    for queue in (backlog(env), deferred(env)):
         positions = [order[j.id] for j in queue]
         assert positions == sorted(positions), "FIFO order violated"
+
+    # a slot is empty only when no job waits for it
+    assert not (env.waiting and None in env.queue), "slot left empty"
 
     # queue slots only hold jobs that have arrived
     for j in queued:

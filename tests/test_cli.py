@@ -1,5 +1,10 @@
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -173,6 +178,10 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
         ("train", "agent: {entropy_coeff: .inf}\n", "ConfigError",
          "entropy_coeff"),
         ("train", "agent: {init_scale: -0.5}\n", "ConfigError", "init_scale"),
+        ("train", "train: {sequences: 0}\n", "ConfigError", "sequence"),
+        ("train", "workload: {seed: 3}\n", "ConfigError", "--seed"),
+        ("evaluate", "workload: {seed: 3}\n", "ConfigError", "--seed"),
+        ("sweep", "workload: {seed: 3}\n", "ConfigError", "experiment.seeds"),
     ],
     ids=["non-integer-env-value", "malformed-yaml", "non-pair-range",
          "non-integer-agent-value", "non-integer-train-value",
@@ -182,7 +191,8 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
          "negative-experiment-seed", "negative-workload-seed-train",
          "negative-workload-seed-evaluate", "nan-lr-actor", "inf-lr-actor",
          "nan-lr-critic", "nan-entropy-coeff", "inf-entropy-coeff",
-         "negative-init-scale"],
+         "negative-init-scale", "no-train-sequences", "workload-seed-train",
+         "workload-seed-evaluate", "workload-seed-sweep"],
 )
 def test_malformed_config_value_fails_with_json_error(tmp_path, capsys, command,
                                                       text, error, fragment):
@@ -196,7 +206,7 @@ def test_malformed_config_value_fails_with_json_error(tmp_path, capsys, command,
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == error
     assert fragment in payload["message"]
-    assert not list((tmp_path / "o").rglob("*"))  # no result file written
+    assert not (tmp_path / "o").exists()  # no result file or directory
 
 
 def test_malformed_flag_fails_with_json_error(tmp_path, capsys):
@@ -226,3 +236,34 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# arch: (episodes, sha256 of training_log.csv)
+RECORDED_TRAINING_DIGESTS = {
+    "fc": ("3", "830b61420a0dde4619ca5bde34a08dc5254ae5fd67ed91e806e8e90e78c87118"),
+    "conv16": ("2", "39dcfe216cff92191dbd66af84bcf2006d485ad4a74bcf40f594609461568c4c"),
+}
+
+
+@pytest.mark.parametrize("arch", sorted(RECORDED_TRAINING_DIGESTS))
+def test_training_log_matches_recorded_digest(tmp_path, arch):
+    """`rlsched train --config configs/default.yaml` in a fresh process with
+    one BLAS thread writes a training log byte-identical to the recorded one.
+
+    ROADMAP item 1 (invalid-action masking, the return scale) will change
+    both digests; the change that does so records the old and new values in
+    CHANGES.md.
+    """
+    root = Path(__file__).resolve().parents[1]
+    episodes, digest = RECORDED_TRAINING_DIGESTS[arch]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(root / "src"), os.environ.get("PYTHONPATH")])))
+    subprocess.run(
+        [sys.executable, "-m", "rlsched.cli", "train", "--config",
+         "configs/default.yaml", "--arch", arch, "--episodes", episodes,
+         "--out", str(tmp_path)],
+        cwd=root, env=env, check=True, capture_output=True,
+    )
+    log = (tmp_path / "training_log.csv").read_bytes()
+    assert hashlib.sha256(log).hexdigest() == digest

@@ -4,7 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from rlsched.config import EnvConfig
 from rlsched.env import ClusterEnv, Job
-from rlsched.errors import ConfigError, EpisodeFinished, InvalidActionError
+from rlsched.errors import (
+    ConfigError, EpisodeFinished, InvalidActionError, ValidationError,
+)
+
+from invariants import backlog, deferred
 
 
 def make_env(**overrides):
@@ -21,7 +25,7 @@ def job(jid, arrival=0, duration=1, demand=(1, 1)):
 def test_reset_empty_sequence():
     env = make_env().reset([])
     assert all(j is None for j in env.queue)
-    assert not env.backlog
+    assert not backlog(env)
     assert not env.image.used.any()
     assert env.is_done()  # vacuously: zero jobs, all completed
 
@@ -30,7 +34,7 @@ def test_reset_overflow_to_backlog():
     jobs = [job(i) for i in range(7)]
     env = make_env(queue_slots=5).reset(jobs)
     assert sum(j is not None for j in env.queue) == 5
-    assert [j.id for j in env.backlog] == [5, 6]
+    assert [j.id for j in backlog(env)] == [5, 6]
 
 
 def test_reset_deterministic():
@@ -38,7 +42,7 @@ def test_reset_deterministic():
     a = make_env().reset(jobs)
     b = make_env().reset(jobs)
     assert np.array_equal(a.encode_state(), b.encode_state())
-    assert [j.id for j in a.backlog] == [j.id for j in b.backlog]
+    assert [j.id for j in backlog(a)] == [j.id for j in backlog(b)]
 
 
 def test_reset_does_not_mutate_caller_jobs():
@@ -61,6 +65,23 @@ def test_reset_rejects_duration_beyond_horizon():
 def test_reset_rejects_duplicate_ids():
     with pytest.raises(ConfigError):
         make_env().reset([job(3), job(3)])
+
+
+@pytest.mark.parametrize(
+    "jobs, bad_id",
+    [
+        ([job(0), job(7, demand=(11, 1))], 7),
+        ([job(3), job(5), job(3)], 3),
+        ([job(-1)], -1),
+        ([job(2), job(4, duration=21)], 4),
+    ],
+    ids=["oversized-demand", "duplicate-id", "negative-id", "beyond-horizon"],
+)
+def test_reset_rejection_carries_the_job_id(jobs, bad_id):
+    assert issubclass(ValidationError, ConfigError)
+    with pytest.raises(ValidationError) as err:
+        make_env().reset(jobs)
+    assert err.value.job_id == bad_id
 
 
 # -- earliest_offset ------------------------------------------------------------
@@ -197,7 +218,7 @@ def test_completion_lifecycle():
 def test_arrivals_admitted_on_their_step():
     env = make_env().reset([job(0, arrival=2)])
     for _ in range(2):
-        assert env.queued_jobs() == [] and not env.backlog and not env.running
+        assert env.queued_jobs() == [] and not backlog(env) and not env.running
         env.advance_time()
     assert env.queue[0] is not None
 
@@ -205,10 +226,22 @@ def test_arrivals_admitted_on_their_step():
 def test_backlog_promotion_fifo_on_allocation():
     jobs = [job(i, duration=2) for i in range(8)]
     env = make_env(queue_slots=5).reset(jobs)
-    assert [j.id for j in env.backlog] == [5, 6, 7]
+    assert [j.id for j in backlog(env)] == [5, 6, 7]
     env.step(3)  # vacate slot 3
     assert env.queue[2].id == 5
-    assert [j.id for j in env.backlog] == [6, 7]
+    assert [j.id for j in backlog(env)] == [6, 7]
+
+
+def test_deferred_arrivals_add_nothing_to_reward_or_counter():
+    # one slot, a backlog of two, three arrivals deferred behind it
+    jobs = [job(i, duration=d) for i, d in enumerate((2, 3, 4, 5, 6, 7))]
+    env = make_env(queue_slots=1, backlog_size=2).reset(jobs)
+    assert env.queue[0].id == 0
+    assert [j.id for j in backlog(env)] == [1, 2]
+    assert [j.id for j in deferred(env)] == [3, 4, 5]
+    counter = env.encode_state()[:, 40]  # 2 resources x 2 blocks x 10 cells
+    assert list(counter) == [1.0, 1.0] + [0.0] * 18
+    assert env.step(0).reward == -(1 / 2 + 1 / 3 + 1 / 4)
 
 
 def test_deferred_admission_when_backlog_full():
@@ -216,11 +249,11 @@ def test_deferred_admission_when_backlog_full():
     env = make_env(queue_slots=2, backlog_size=3).reset(jobs)
     # 2 in queue, 3 in backlog, 3 deferred but conserved
     assert sum(j is not None for j in env.queue) == 2
-    assert len(env.backlog) == 3
-    assert len(env.pending) == 3
+    assert len(backlog(env)) == 3
+    assert len(deferred(env)) == 3
     env.step(1)
-    assert len(env.backlog) == 3
-    assert len(env.pending) == 2
+    assert len(backlog(env)) == 3
+    assert len(deferred(env)) == 2
 
 
 def test_started_at_includes_reservation_offset():

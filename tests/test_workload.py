@@ -119,6 +119,16 @@ def test_trace_demand_over_capacity(tmp_path):
     assert err.value.job_id == 9
 
 
+def test_trace_negative_id_rejected_with_its_id(tmp_path):
+    path = write(
+        tmp_path,
+        "job_id,arrival_time,duration,cpu_req,mem_req\n0,0,1,2,1\n-1,0,1,2,1\n",
+    )
+    with pytest.raises(ValidationError) as err:
+        load_trace(path, EnvConfig())
+    assert err.value.job_id == -1
+
+
 def test_trace_parse_error_carries_line(tmp_path):
     path = write(
         tmp_path,
