@@ -29,10 +29,11 @@ ARCHITECTURE_NAMES = ("fc", "conv16", "conv32", "conv16_pool", "conv32_pool")
 LOSS_LIMIT = 1e6
 
 
-def architecture_chain(name: str, fc_hidden: int = 128):
-    """Feature chains for the supported network families (head not included)."""
+def architecture_chain(name: str):
+    """Feature chains for the supported network families (head not included);
+    fc has one hidden layer of 128 units."""
     if name == "fc":
-        return [flatten(), dense(fc_hidden, activation="relu")]
+        return [flatten(), dense(128, activation="relu")]
     if name == "conv16":
         return [conv3(16, activation="relu"), flatten()]
     if name == "conv32":
@@ -52,7 +53,6 @@ class AgentConfig:
     n_steps: int = 5
     entropy_coeff: float = 0.01
     architecture: str = "conv16"
-    fc_hidden: int = 128
     init_scale: float = 1e-3
 
     def __post_init__(self):
@@ -123,8 +123,7 @@ class ActorCriticAgent:
         self.num_actions = int(num_actions)
         input_shape = (1,) + self.observation_shape
         if chain is None:
-            chain = architecture_chain(self.config.architecture,
-                                       self.config.fc_hidden)
+            chain = architecture_chain(self.config.architecture)
         seeds = np.random.SeedSequence(seed).spawn(3)
         self.actor = Network(
             list(chain) + [dense(self.num_actions)],
@@ -329,9 +328,8 @@ def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs,
 
 
 def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
-          episodes: int, seed: int = 0, agent: ActorCriticAgent | None = None,
-          checkpoint_dir: str | Path | None = None, checkpoint_every: int = 0,
-          log_path: str | Path | None = None):
+          episodes: int, seed: int = 0, checkpoint_dir: str | Path | None = None,
+          checkpoint_every: int = 0, log_path: str | Path | None = None):
     """Algorithm: loop over episodes, cycling through the given job
     sequences, sampling actions from the current policy and updating both
     networks every n_steps transitions. Deterministic given the seed.
@@ -347,13 +345,12 @@ def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
             f"checkpoint_every must be >= 0, got {checkpoint_every}"
         )
     env = ClusterEnv(env_config)
-    if agent is None:
-        agent = ActorCriticAgent(
-            env.observation_shape(),
-            env_config.queue_slots + 1,
-            config=agent_config,
-            seed=seed,
-        )
+    agent = ActorCriticAgent(
+        env.observation_shape(),
+        env_config.queue_slots + 1,
+        config=agent_config,
+        seed=seed,
+    )
     records: list[EpisodeRecord] = []
     writer = _LogWriter(log_path) if log_path else None
     try:

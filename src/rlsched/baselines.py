@@ -15,6 +15,8 @@ from .env import ClusterEnv
 from .errors import ConfigError
 from .metrics import EpisodeReport, episode_report
 
+POLICY_KINDS = ("random", "sjf", "tetris", "a2c")
+
 
 def _fitting_slots(env: ClusterEnv) -> list[int]:
     return [i for i, job in env.queued_jobs() if env.image.fits_at(job, 0)]
@@ -65,14 +67,13 @@ def random_select(env: ClusterEnv, rng: np.random.Generator) -> int:
     return int(choices[rng.integers(len(choices))])
 
 
-def make_policy(kind: str, rng: np.random.Generator | None = None,
-                agent=None, lam_short: float = 0.05):
-    """Build a policy callable. `random` needs an rng; `a2c` needs a trained
-    agent (greedy action selection)."""
+def make_policy(kind: str, rng: np.random.Generator | None = None, agent=None):
+    """Build a policy callable, one of POLICY_KINDS. `random` needs an rng;
+    `a2c` needs a trained agent (greedy action selection)."""
     if kind == "sjf":
         return sjf_select
     if kind == "tetris":
-        return lambda env: tetris_select(env, lam_short=lam_short)
+        return tetris_select
     if kind == "random":
         if rng is None:
             raise ConfigError("random policy needs an rng")
@@ -81,7 +82,7 @@ def make_policy(kind: str, rng: np.random.Generator | None = None,
         if agent is None:
             raise ConfigError("a2c policy needs a trained agent")
         return lambda env: agent.act(env.encode_state(), mode="greedy")
-    raise ConfigError(f"unknown policy kind {kind!r}")
+    raise ConfigError(f"unknown policy kind {kind!r}; pick from {POLICY_KINDS}")
 
 
 def run_greedy(policy, env: ClusterEnv, gamma: float = 0.99) -> EpisodeReport:

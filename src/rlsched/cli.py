@@ -1,7 +1,8 @@
 """Command-line interface: train, evaluate, sweep, plot-data.
 
 All defaults live in one YAML config file (see configs/default.yaml); CLI
-flags override config values. Failures exit nonzero after printing a single
+flags override config values and are checked as the file's values are. Any
+failure, a malformed command line included, exits 1 after printing a single
 machine-readable JSON error line to stderr.
 """
 from __future__ import annotations
@@ -16,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .agent import AgentConfig, train
-from .baselines import make_policy, run_greedy
+from .agent import ARCHITECTURE_NAMES, AgentConfig, train
+from .baselines import POLICY_KINDS, make_policy, run_greedy
 from .config import EnvConfig, check_seed, from_section, read_yaml
 from .env import ClusterEnv
 from .errors import ConfigError, RlschedError
@@ -30,8 +31,6 @@ from .experiment import (
     write_csv,
 )
 from .workload import WorkloadSpec, generate
-
-CONFIG_SECTIONS = ("env", "workload", "agent", "experiment", "train")
 
 # `evaluate --out` writes the sweep's episode columns without the cell keys
 EVALUATE_COLUMNS = EPISODE_COLUMNS[EPISODE_COLUMNS.index("episode"):]
@@ -47,6 +46,10 @@ class TrainSpec:
     checkpoint_every: int = 0
 
 
+SECTIONS = {"env": EnvConfig, "workload": WorkloadSpec, "agent": AgentConfig,
+            "experiment": ExperimentSpec, "train": TrainSpec}
+
+
 def load_harness_config(path: str | None) -> dict:
     """Read the harness config file; unknown sections and `workload.seed`
     are rejected here, and each section is checked when `from_section`
@@ -56,7 +59,7 @@ def load_harness_config(path: str | None) -> dict:
         raw = read_yaml(path) or {}
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: expected a mapping of sections")
-        unknown = set(raw) - set(CONFIG_SECTIONS)
+        unknown = set(raw) - set(SECTIONS)
         if unknown:
             raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
         if isinstance(raw.get("workload"), dict) and "seed" in raw["workload"]:
@@ -65,17 +68,18 @@ def load_harness_config(path: str | None) -> dict:
     return raw
 
 
-def _experiment_spec(raw: dict, **overrides) -> ExperimentSpec:
-    """The config's experiment section with `overrides` on top, and the env,
-    workload and agent sections nested in."""
-    spec = from_section(ExperimentSpec, raw.get("experiment"), "experiment",
-                        **overrides)
-    return dataclasses.replace(
-        spec,
-        env=from_section(EnvConfig, raw.get("env"), "env"),
-        workload=from_section(WorkloadSpec, raw.get("workload"), "workload"),
-        agent=from_section(AgentConfig, raw.get("agent"), "agent"),
-    )
+def section(raw: dict, name: str, **flags):
+    """Section `name` of the harness config `raw`, typed, `flags` on top."""
+    return from_section(SECTIONS[name], raw.get(name), name, **flags)
+
+
+def load_sections(path: str | None, rate=None, architecture=None):
+    """The harness config file at `path` (all defaults when None), and its
+    env, workload and agent sections with `--rate` and `--arch` on top."""
+    raw = load_harness_config(path)
+    flags = {"env": {}, "workload": {"rate": rate},
+             "agent": {"architecture": architecture}}
+    return raw, {name: section(raw, name, **flags[name]) for name in flags}
 
 
 def _split(flag: str | None):
@@ -101,14 +105,10 @@ def _training_sequences(env_cfg, workload, count, seed):
 
 
 def cmd_train(args) -> int:
-    raw = load_harness_config(args.config)
-    env_cfg = from_section(EnvConfig, raw.get("env"), "env")
-    spec = from_section(TrainSpec, raw.get("train"), "train",
-                        episodes=args.episodes)
-    workload = from_section(WorkloadSpec, raw.get("workload"), "workload",
-                            rate=args.rate)
-    agent_cfg = from_section(AgentConfig, raw.get("agent"), "agent",
-                             architecture=args.arch)
+    raw, sections = load_sections(args.config, rate=args.rate,
+                                  architecture=args.arch)
+    env_cfg, workload, agent_cfg = sections.values()
+    spec = section(raw, "train", episodes=args.episodes)
     sequences = _training_sequences(env_cfg, workload, spec.sequences, args.seed)
     out = Path(args.out)
     records, agent = train(
@@ -147,17 +147,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    raw = load_harness_config(args.config)
-    spec = _experiment_spec(
-        raw,
-        policies=(args.policy,),
-        job_rates=(args.rate,),
-        seeds=(args.seed,),
+    raw, sections = load_sections(args.config, rate=args.rate)
+    spec = section(
+        raw, "experiment", **sections,
+        policies=[args.policy],
+        job_rates=[sections["workload"].rate],
+        seeds=[args.seed],
         episodes=args.episodes,
-        summary_window=args.episodes,
         checkpoint=args.checkpoint,
     )
-    rows = run_cell(spec, args.policy, 0, args.seed)
+    rows = run_cell(spec, args.policy, 0, spec.seeds[0])
     if args.out:
         write_csv(Path(args.out), EVALUATE_COLUMNS, rows)
     slowdowns = [r["avg_slowdown"] for r in rows if r["avg_slowdown"] is not None]
@@ -165,8 +164,8 @@ def cmd_evaluate(args) -> int:
         json.dumps(
             {
                 "policy": args.policy,
-                "job_rate": args.rate,
-                "episodes": args.episodes,
+                "job_rate": spec.job_rates[0],
+                "episodes": spec.episodes,
                 "avg_slowdown": float(np.mean(slowdowns)) if slowdowns else None,
             },
             sort_keys=True,
@@ -176,9 +175,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    raw = load_harness_config(args.config)
-    spec = _experiment_spec(
-        raw,
+    raw, sections = load_sections(args.config)
+    spec = section(
+        raw, "experiment", **sections,
         policies=_split(args.policies),
         job_rates=_split(args.rates),
         seeds=_split(args.seeds),
@@ -196,8 +195,16 @@ def cmd_plot_data(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line fails as a ConfigError; subparsers inherit this."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Flags that set a config key carry no type: `from_section` converts them."""
+    parser = _Parser(
         prog="rlsched",
         description="Cluster-scheduling simulator, learned scheduler, and "
         "experiment harness",
@@ -207,22 +214,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the scheduling agent")
     p.add_argument("--config", help="harness config file (YAML)")
-    p.add_argument("--rate", type=float, default=None, help="job arrival rate")
-    p.add_argument("--episodes", type=int, default=None)
+    p.add_argument("--rate", help="job arrival rate")
+    p.add_argument("--episodes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--arch", default=None,
-                   help="fc | conv16 | conv32 | conv16_pool | conv32_pool")
+    p.add_argument("--arch", help=" | ".join(ARCHITECTURE_NAMES))
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a policy")
     p.add_argument("--config", help="harness config file (YAML)")
-    p.add_argument("--policy", required=True,
-                   choices=("random", "sjf", "tetris", "a2c"))
+    p.add_argument("--policy", required=True, help=" | ".join(POLICY_KINDS))
     p.add_argument("--checkpoint", help="checkpoint directory for a2c")
-    p.add_argument("--rate", type=float, default=0.7)
-    p.add_argument("--episodes", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rate", help="job arrival rate (default workload.rate)")
+    p.add_argument("--episodes", help="default experiment.episodes")
+    p.add_argument("--seed", default=0)
     p.add_argument("--out", help="write per-episode CSV here")
     p.set_defaults(func=cmd_evaluate)
 
@@ -231,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", help="comma-separated policy kinds")
     p.add_argument("--rates", help="comma-separated job rates")
     p.add_argument("--seeds", help="comma-separated seeds")
-    p.add_argument("--episodes", type=int, default=None)
+    p.add_argument("--episodes")
     p.add_argument("--checkpoint", help="checkpoint directory for a2c cells")
     p.add_argument("--out", required=True, help="results directory")
     p.set_defaults(func=cmd_sweep)
@@ -246,16 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except RlschedError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 1
-    except OSError as exc:
+    except (RlschedError, OSError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

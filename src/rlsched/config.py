@@ -71,7 +71,8 @@ def _convert(tp, value):
 
     A scalar field takes a value of its type or a string that parses as one
     (command-line flags arrive as strings); a float field also takes an int.
-    A tuple field takes a list; an optional field takes None.
+    A tuple field takes a list; an optional field takes None. A field that
+    nests another section takes only that section, already built.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is tuple:
@@ -88,6 +89,8 @@ def _convert(tp, value):
         (tp,) = [t for t in args if t is not type(None)]
         return _convert(tp, value)
     if dataclasses.is_dataclass(tp):
+        if isinstance(value, tp):
+            return value
         raise TypeError("not settable here; it has its own section")
     allowed = (int, float) if tp is float else (tp,)
     if isinstance(value, bool) or not isinstance(value, (str, *allowed)):

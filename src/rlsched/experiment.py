@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,12 +20,12 @@ import numpy as np
 
 from . import __version__
 from .agent import ActorCriticAgent, AgentConfig
-from .baselines import make_policy, run_greedy
+from .baselines import POLICY_KINDS, make_policy, run_greedy
 from .config import EnvConfig, check_seed
 from .env import ClusterEnv
 from .errors import ConfigError
 from .metrics import EpisodeReport, format_cell
-from .workload import WorkloadSpec, generate
+from .workload import WorkloadSpec, generate, validate_spec
 
 EPISODE_COLUMNS = ("policy", "job_rate", "seed", "episode") + tuple(
     f.name for f in dataclasses.fields(EpisodeReport)
@@ -45,19 +46,24 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     episodes: int = 20
     summary_window: int = 50
-    lam_short: float = 0.05
     env: EnvConfig = field(default_factory=EnvConfig)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     agent: AgentConfig = field(default_factory=AgentConfig)
     checkpoint: str | None = None
 
     def __post_init__(self):
+        # the whole spec is checked here, before the first cell runs
+        unknown = [p for p in self.policies if p not in POLICY_KINDS]
+        if unknown:
+            raise ConfigError(f"unknown policies {unknown}; pick from {POLICY_KINDS}")
         if "a2c" in self.policies and not self.checkpoint:
             raise ConfigError("a2c policy requires a checkpoint path")
         if self.episodes < 0:
             raise ConfigError("episodes must be >= 0")
         for seed in self.seeds:
             check_seed(seed)
+        for rate in self.job_rates:
+            validate_spec(dataclasses.replace(self.workload, rate=rate), self.env)
 
 
 def _workload_seed(seed: int, rate_index: int, episode: int) -> int:
@@ -71,11 +77,9 @@ def config_hash(spec: ExperimentSpec) -> str:
 
 def _build_policy(kind: str, spec: ExperimentSpec, env: ClusterEnv,
                   seed: int, rate_index: int):
+    rng = agent = None
     if kind == "random":
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, rate_index, 0xA5])
-        )
-        return make_policy("random", rng=rng)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, rate_index, 0xA5]))
     if kind == "a2c":
         agent = ActorCriticAgent(
             env.observation_shape(),
@@ -84,8 +88,7 @@ def _build_policy(kind: str, spec: ExperimentSpec, env: ClusterEnv,
             seed=seed,
         )
         agent.load(spec.checkpoint)
-        return make_policy("a2c", agent=agent)
-    return make_policy(kind, lam_short=spec.lam_short)
+    return make_policy(kind, rng=rng, agent=agent)
 
 
 def run_cell(spec: ExperimentSpec, policy_kind: str, rate_index: int,
@@ -146,24 +149,19 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path):
     cells = []
     error: Exception | None = None
 
-    for rate_index, rate in enumerate(spec.job_rates):
-        for policy_kind in spec.policies:
-            for seed in spec.seeds:
-                cell = {"policy": policy_kind, "job_rate": rate, "seed": seed}
-                try:
-                    rows = run_cell(spec, policy_kind, rate_index, seed)
-                except Exception as exc:  # flush partial results before raising
-                    cells.append({**cell, "status": "incomplete"})
-                    error = exc
-                    break
-                episode_rows.extend(rows)
-                if rows:
-                    summary_rows.append(_summarize(rows, spec.summary_window))
-                cells.append({**cell, "status": "complete"})
-            if error:
-                break
-        if error:
+    for (rate_index, rate), policy_kind, seed in itertools.product(
+            enumerate(spec.job_rates), spec.policies, spec.seeds):
+        cell = {"policy": policy_kind, "job_rate": rate, "seed": seed}
+        try:
+            rows = run_cell(spec, policy_kind, rate_index, seed)
+        except Exception as exc:  # flush partial results before raising
+            cells.append({**cell, "status": "incomplete"})
+            error = exc
             break
+        episode_rows.extend(rows)
+        if rows:
+            summary_rows.append(_summarize(rows, spec.summary_window))
+        cells.append({**cell, "status": "complete"})
 
     write_csv(out_dir / "episodes.csv", EPISODE_COLUMNS, episode_rows)
     summary_columns = ["policy", "job_rate", "seed", "episodes", "window"]

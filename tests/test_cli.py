@@ -182,6 +182,10 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
         ("train", "workload: {seed: 3}\n", "ConfigError", "--seed"),
         ("evaluate", "workload: {seed: 3}\n", "ConfigError", "--seed"),
         ("sweep", "workload: {seed: 3}\n", "ConfigError", "experiment.seeds"),
+        ("sweep", "experiment: {policies: [sjf, fifo]}\n", "ConfigError", "fifo"),
+        ("sweep", "experiment: {job_rates: [0.6, 1.5]}\n", "SpecError", "rate"),
+        ("train", "agent: {fc_hidden: 64}\n", "ConfigError", "fc_hidden"),
+        ("sweep", "experiment: {lam_short: 0.1}\n", "ConfigError", "lam_short"),
     ],
     ids=["non-integer-env-value", "malformed-yaml", "non-pair-range",
          "non-integer-agent-value", "non-integer-train-value",
@@ -192,7 +196,8 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
          "negative-workload-seed-evaluate", "nan-lr-actor", "inf-lr-actor",
          "nan-lr-critic", "nan-entropy-coeff", "inf-entropy-coeff",
          "negative-init-scale", "no-train-sequences", "workload-seed-train",
-         "workload-seed-evaluate", "workload-seed-sweep"],
+         "workload-seed-evaluate", "workload-seed-sweep", "unknown-policy",
+         "out-of-range-job-rate", "removed-fc-hidden", "removed-lam-short"],
 )
 def test_malformed_config_value_fails_with_json_error(tmp_path, capsys, command,
                                                       text, error, fragment):
@@ -216,12 +221,55 @@ def test_malformed_flag_fails_with_json_error(tmp_path, capsys):
         (["sweep", "--seeds", "-1", "--out", out], "seed"),
         (["train", "--seed", "-1", "--episodes", "1", "--out", out], "seed"),
         (["evaluate", "--policy", "sjf", "--seed", "-1", "--out", out], "seed"),
+        (["evaluate", "--policy", "foo", "--out", out], "foo"),
+        (["evaluate", "--policy", "sjf", "--rate", "abc", "--out", out], "rate"),
+        (["train", "--episodes", "abc", "--out", out], "episodes"),
+        (["sweep", "--episodes", "abc", "--out", out], "episodes"),
+        (["sweep", "--policies", "sjf,foo", "--out", out], "foo"),
+        (["plot-data", "--results", out, "--smooth", "x", "--out", out],
+         "smooth"),
+        (["train"], "--out"),
     ]:
         assert main(argv) == 1, argv
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ConfigError", argv
         assert fragment in payload["message"], argv
     assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_reads_rate_and_episodes_from_config(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text("experiment: {episodes: 3}\nworkload: {rate: 0.9}\n")
+    out = tmp_path / "eval.csv"
+    assert main(["evaluate", "--config", str(path), "--policy", "sjf",
+                 "--out", str(out)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["episodes"], payload["job_rate"]) == (3, 0.9)
+    with open(out) as fh:
+        assert len(list(csv.DictReader(fh))) == 3
+
+
+# sha256 of the file and the exact stdout of `evaluate --policy tetris --out F`
+RECORDED_EVALUATE = (
+    "3cf215ca99b1ea16ef95c81955c78c81a1461d41e483b68e8293201242d2d69d",
+    '{"avg_slowdown": 2.354005588549261, "episodes": 20, "job_rate": 0.7, '
+    '"policy": "tetris"}\n',
+)
+
+
+@pytest.mark.parametrize("config", [None, "configs/default.yaml"],
+                         ids=["no-config", "default-config"])
+def test_evaluate_defaults_match_recorded_output(tmp_path, capsys, config):
+    """With no flag but --policy, evaluate runs the defaults the config file
+    documents: 20 episodes at rate 0.7, seed 0."""
+    out = tmp_path / "eval.csv"
+    argv = ["evaluate", "--policy", "tetris", "--out", str(out)]
+    if config:
+        argv += ["--config", str(Path(__file__).resolve().parents[1] / config)]
+    assert main(argv) == 0
+    digest, stdout = RECORDED_EVALUATE
+    assert capsys.readouterr().out == stdout
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_missing_results_dir_fails_cleanly(tmp_path, capsys):
