@@ -24,25 +24,27 @@ from .metrics import episode_report, format_cell
 from .nn import Network, conv3, dense, flatten, maxpool2, softmax
 from .nn.checkpoint import load_params, save_params
 
-ARCHITECTURE_NAMES = ("fc", "conv16", "conv32", "conv16_pool", "conv32_pool")
+# Feature chains of the supported network families (head not included); fc
+# has one hidden layer of 128 units. LayerSpec is frozen, so chains share specs.
+ARCHITECTURES = {
+    "fc": (flatten(), dense(128, activation="relu")),
+    "conv16": (conv3(16, activation="relu"), flatten()),
+    "conv32": (conv3(32, activation="relu"), flatten()),
+    "conv16_pool": (conv3(16, activation="relu"), maxpool2(), flatten()),
+    "conv32_pool": (conv3(32, activation="relu"), maxpool2(), flatten()),
+}
+ARCHITECTURE_NAMES = tuple(ARCHITECTURES)
 
 LOSS_LIMIT = 1e6
 
 
 def architecture_chain(name: str):
-    """Feature chains for the supported network families (head not included);
-    fc has one hidden layer of 128 units."""
-    if name == "fc":
-        return [flatten(), dense(128, activation="relu")]
-    if name == "conv16":
-        return [conv3(16, activation="relu"), flatten()]
-    if name == "conv32":
-        return [conv3(32, activation="relu"), flatten()]
-    if name == "conv16_pool":
-        return [conv3(16, activation="relu"), maxpool2(), flatten()]
-    if name == "conv32_pool":
-        return [conv3(32, activation="relu"), maxpool2(), flatten()]
-    raise ConfigError(f"unknown architecture {name!r}; pick from {ARCHITECTURE_NAMES}")
+    """A new list of the feature chain of architecture `name`."""
+    if name not in ARCHITECTURES:
+        raise ConfigError(
+            f"unknown architecture {name!r}; pick from {ARCHITECTURE_NAMES}"
+        )
+    return list(ARCHITECTURES[name])
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,7 @@ class AgentConfig:
             raise ConfigError(
                 f"entropy_coeff must be finite and >= 0, got {self.entropy_coeff}"
             )
+        architecture_chain(self.architecture)
 
 
 @dataclass

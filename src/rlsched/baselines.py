@@ -1,9 +1,9 @@
 """Reference scheduling policies sharing the agent's action interface.
 
 A policy is a callable env -> action index. The heuristics look at the
-environment state directly (they are not learners) and consider a queued job
-schedulable only if it fits right now, at start offset 0; reserving future
-rows is left to the learned agent.
+environment state directly (they are not learners) and choose only among
+`env.fitting_jobs()`, the queued jobs that fit right now, at start offset 0;
+reserving future rows is left to the learned agent.
 """
 from __future__ import annotations
 
@@ -18,18 +18,12 @@ from .metrics import EpisodeReport, episode_report
 POLICY_KINDS = ("random", "sjf", "tetris", "a2c")
 
 
-def _fitting_slots(env: ClusterEnv) -> list[int]:
-    return [i for i, job in env.queued_jobs() if env.image.fits_at(job, 0)]
-
-
 def sjf_select(env: ClusterEnv) -> int:
     """Slot holding the shortest fitting job; ties break to the lowest slot;
     void when nothing fits."""
     best = None
     best_duration = None
-    for i, job in env.queued_jobs():
-        if not env.image.fits_at(job, 0):
-            continue
+    for i, job in env.fitting_jobs():
         if best_duration is None or job.duration < best_duration:
             best, best_duration = i, job.duration
     return 0 if best is None else best + 1
@@ -47,9 +41,7 @@ def tetris_select(env: ClusterEnv, lam_short: float = 0.05) -> int:
     free_norm = math.sqrt(sum(f * f for f in free))
     best = None
     best_score = None
-    for i, job in env.queued_jobs():
-        if not env.image.fits_at(job, 0):
-            continue
+    for i, job in env.fitting_jobs():
         demand = job.demand
         norm = free_norm * math.sqrt(sum(d * d for d in demand))
         alignment = (
@@ -63,7 +55,7 @@ def tetris_select(env: ClusterEnv, lam_short: float = 0.05) -> int:
 
 def random_select(env: ClusterEnv, rng: np.random.Generator) -> int:
     """Uniform over the fitting slots plus the void action."""
-    choices = [0] + [i + 1 for i in _fitting_slots(env)]
+    choices = [0] + [i + 1 for i, _ in env.fitting_jobs()]
     return int(choices[rng.integers(len(choices))])
 
 
@@ -85,9 +77,11 @@ def make_policy(kind: str, rng: np.random.Generator | None = None, agent=None):
     raise ConfigError(f"unknown policy kind {kind!r}; pick from {POLICY_KINDS}")
 
 
-def run_greedy(policy, env: ClusterEnv, gamma: float = 0.99) -> EpisodeReport:
-    """Drive a reset environment with `policy` until the episode ends.
-    Non-void actions pack jobs within the current step; void advances time."""
+def run_greedy(policy, env: ClusterEnv, jobs, gamma: float) -> EpisodeReport:
+    """Reset `env` to `jobs` and drive it with `policy` until the episode
+    ends. Non-void actions pack jobs within the current step; void advances
+    time."""
+    env.reset(jobs)
     rewards = []
     while not env.is_done():
         outcome = env.step(policy(env))

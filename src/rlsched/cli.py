@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .agent import ARCHITECTURE_NAMES, AgentConfig, train
 from .baselines import POLICY_KINDS, make_policy, run_greedy
-from .config import EnvConfig, check_seed, from_section, read_yaml
+from .config import EnvConfig, check_seed, from_section, read_yaml, section_keys
 from .env import ClusterEnv
 from .errors import ConfigError, RlschedError
 from .experiment import (
@@ -30,7 +30,7 @@ from .experiment import (
     run_experiment,
     write_csv,
 )
-from .workload import WorkloadSpec, generate
+from .workload import WorkloadSpec, derived_seed, generate
 
 # `evaluate --out` writes the sweep's episode columns without the cell keys
 EVALUATE_COLUMNS = EPISODE_COLUMNS[EPISODE_COLUMNS.index("episode"):]
@@ -51,9 +51,9 @@ SECTIONS = {"env": EnvConfig, "workload": WorkloadSpec, "agent": AgentConfig,
 
 
 def load_harness_config(path: str | None) -> dict:
-    """Read the harness config file; unknown sections and `workload.seed`
-    are rejected here, and each section is checked when `from_section`
-    builds it."""
+    """Read the harness config file. Unknown sections, unknown keys in every
+    section (whether or not the command reads it) and `workload.seed` are
+    rejected here; each value is checked when `from_section` builds it."""
     raw = {}
     if path:
         raw = read_yaml(path) or {}
@@ -62,7 +62,9 @@ def load_harness_config(path: str | None) -> dict:
         unknown = set(raw) - set(SECTIONS)
         if unknown:
             raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
-        if isinstance(raw.get("workload"), dict) and "seed" in raw["workload"]:
+        for name in raw:
+            section_keys(SECTIONS[name], raw[name], name)
+        if "seed" in (raw.get("workload") or {}):
             raise ConfigError(f"{path}: workload.seed is not a setting; seeds "
                               "come from --seed, --seeds or experiment.seeds")
     return raw
@@ -87,15 +89,11 @@ def _split(flag: str | None):
     return flag.split(",") if flag else None
 
 
-def _sequence_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([seed, 7919, index]).generate_state(1)[0])
-
-
 def _training_sequences(env_cfg, workload, count, seed):
     check_seed(seed)
     return [
         generate(
-            dataclasses.replace(workload, seed=_sequence_seed(seed, k)), env_cfg
+            dataclasses.replace(workload, seed=derived_seed(seed, 7919, k)), env_cfg
         )
         for k in range(count)
     ]
@@ -126,8 +124,7 @@ def cmd_train(args) -> int:
     policy = make_policy("a2c", agent=agent)
     eval_rows = []
     for jobs in sequences:
-        env.reset(jobs)
-        report = run_greedy(policy, env, gamma=agent_cfg.gamma)
+        report = run_greedy(policy, env, jobs, agent_cfg.gamma)
         eval_rows.append(report.avg_slowdown)
     greedy = [s for s in eval_rows if s is not None]
     print(

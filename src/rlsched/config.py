@@ -1,8 +1,8 @@
 """Cluster/simulator configuration and the config file format.
 
-The on-disk format is YAML. Every section is built by `from_section`, which
-rejects unknown keys and converts each value to its field's annotated type,
-so typos and malformed values fail loudly instead of running with defaults.
+The on-disk format is YAML. `section_keys` rejects unknown keys, and
+`from_section` converts each value to its field's annotated type, so typos
+and malformed values fail loudly instead of running with defaults.
 """
 from __future__ import annotations
 
@@ -98,6 +98,21 @@ def _convert(tp, value):
     return tp(value)
 
 
+def section_keys(cls, raw, section: str) -> dict:
+    """The mapping of one config-file section, checked to name only fields of
+    the dataclass `cls`; `raw` is None when the section is absent or empty."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(
+            f"{section} section: expected a mapping, got {type(raw).__name__}"
+        )
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    return raw
+
+
 def from_section(cls, raw, section: str, **overrides):
     """Build the dataclass `cls` from one config-file section.
 
@@ -106,15 +121,7 @@ def from_section(cls, raw, section: str, **overrides):
     the file; an override of None is a flag that was not given. Any bad key
     or value raises a ConfigError naming the section and the key.
     """
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(
-            f"{section} section: expected a mapping, got {type(raw).__name__}"
-        )
-    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    raw = section_keys(cls, raw, section)
     types = typing.get_type_hints(cls)
     given = {k: v for k, v in overrides.items() if v is not None}
     kwargs = {}

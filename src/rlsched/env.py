@@ -247,10 +247,9 @@ class ClusterEnv:
             raise EpisodeFinished("step() called on a finished episode")
 
         reward = 0.0
-        completions: list[Job] = []
         invalid = False
         if action == 0:
-            reward, completions = self.advance_time()
+            reward, _ = self.advance_time()
         else:
             job = self.queue[action - 1]
             offset = self.image.earliest_offset(job) if job is not None else None
@@ -258,12 +257,10 @@ class ClusterEnv:
                 self._allocate(action - 1, offset)
             else:
                 invalid = True
-                reward, completions = self.advance_time()
+                reward, _ = self.advance_time()
 
         return StepOutcome(
-            reward=reward,
-            done=self.is_done(),
-            info={"jobs_completed": len(completions), "invalid_action": invalid},
+            reward=reward, done=self.is_done(), info={"invalid_action": invalid}
         )
 
     def is_done(self) -> bool:
@@ -303,8 +300,10 @@ class ClusterEnv:
             image[:rem, col + full] = 1.0
         return image
 
-    # -- introspection helpers (used by baselines, metrics, and tests) --------
+    # -- candidates ------------------------------------------------------------
 
-    def queued_jobs(self) -> list[tuple[int, Job]]:
-        """(slot_index, job) pairs for occupied slots; slot_index is 0-based."""
-        return [(i, j) for i, j in enumerate(self.queue) if j is not None]
+    def fitting_jobs(self) -> list[tuple[int, Job]]:
+        """The one fits-now rule: (slot_index, job), lowest slot first, for
+        each queued job that fits at offset 0; slot_index is 0-based."""
+        return [(i, j) for i, j in enumerate(self.queue)
+                if j is not None and self.image.fits_at(j, 0)]

@@ -25,7 +25,7 @@ from .config import EnvConfig, check_seed
 from .env import ClusterEnv
 from .errors import ConfigError
 from .metrics import EpisodeReport, format_cell
-from .workload import WorkloadSpec, generate, validate_spec
+from .workload import WorkloadSpec, derived_seed, generate, validate_spec
 
 EPISODE_COLUMNS = ("policy", "job_rate", "seed", "episode") + tuple(
     f.name for f in dataclasses.fields(EpisodeReport)
@@ -66,10 +66,6 @@ class ExperimentSpec:
             validate_spec(dataclasses.replace(self.workload, rate=rate), self.env)
 
 
-def _workload_seed(seed: int, rate_index: int, episode: int) -> int:
-    return int(np.random.SeedSequence([seed, rate_index, episode]).generate_state(1)[0])
-
-
 def config_hash(spec: ExperimentSpec) -> str:
     canonical = json.dumps(dataclasses.asdict(spec), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -100,12 +96,11 @@ def run_cell(spec: ExperimentSpec, policy_kind: str, rate_index: int,
     policy = _build_policy(policy_kind, spec, env, seed, rate_index)
     rows = []
     for episode in range(spec.episodes):
-        wseed = _workload_seed(seed, rate_index, episode)
+        wseed = derived_seed(seed, rate_index, episode)
         jobs = generate(
             dataclasses.replace(spec.workload, rate=rate, seed=wseed), spec.env
         )
-        env.reset(jobs)
-        report = run_greedy(policy, env, gamma=spec.agent.gamma)
+        report = run_greedy(policy, env, jobs, spec.agent.gamma)
         rows.append(
             {
                 "policy": policy_kind,
@@ -225,11 +220,9 @@ def emit_plot_series(results_dir: str | Path, out_dir: str | Path,
                 values = [float(np.mean(by_episode[e])) for e in episodes]
                 values = _smooth(values, smooth)
                 path = rate_dir / f"series_{metric}__{policy}.csv"
-                with open(path, "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["episode", "value"])
-                    for e, v in zip(episodes, values):
-                        writer.writerow([e, f"{v:.10g}"])
+                write_csv(path, ("episode", "value"),
+                          [{"episode": e, "value": v}
+                           for e, v in zip(episodes, values)])
                 written.append(path)
     return written
 

@@ -34,6 +34,11 @@ class WorkloadSpec:
         check_seed(self.seed)
 
 
+def derived_seed(*key: int) -> int:
+    """A workload seed drawn by numpy's SeedSequence from `key`'s ints."""
+    return int(np.random.SeedSequence(key).generate_state(1)[0])
+
+
 def _check_range(name: str, rng: tuple[int, int], low: int) -> None:
     try:
         lo, hi = rng

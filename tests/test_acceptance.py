@@ -138,8 +138,7 @@ def test_criterion_3_sjf_oracle():
         n = int(rng.integers(1, 8))
         durations = [int(rng.integers(1, 7)) for _ in range(n)]
         jobs = [Job(i, 0, d, (1, 1)) for i, d in enumerate(durations)]
-        env.reset(jobs)
-        rep = run_greedy(make_policy("sjf"), env)
+        rep = run_greedy(make_policy("sjf"), env, jobs, 0.99)
         assert rep.completed == n
         assert rep.avg_waiting_time == brute_force_min_avg_waiting(durations)
         checked += 1

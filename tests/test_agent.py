@@ -138,6 +138,8 @@ def test_pooled_actor_matches_direct_forward(arch):
 def test_unknown_architecture_rejected():
     with pytest.raises(ConfigError):
         architecture_chain("resnet")
+    with pytest.raises(ConfigError, match="resnet"):
+        AgentConfig(architecture="resnet")
 
 
 # -- select_action ----------------------------------------------------------------
@@ -440,8 +442,7 @@ def test_train_single_job_reaches_optimum():
     config = AgentConfig(lr_actor=0.01, lr_critic=0.01, n_steps=3)
     _, agent = train(cfg, [jobs], config, episodes=150, seed=1)
     env = ClusterEnv(cfg)
-    env.reset(jobs)
-    report = run_greedy(make_policy("a2c", agent=agent), env)
+    report = run_greedy(make_policy("a2c", agent=agent), env, jobs, config.gamma)
     assert report.avg_slowdown == pytest.approx(1.0)
     assert report.completed == 1
 

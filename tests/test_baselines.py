@@ -13,6 +13,7 @@ from rlsched.baselines import (
 from rlsched.config import EnvConfig
 from rlsched.env import ClusterEnv, Job
 from rlsched.errors import ConfigError
+from rlsched.workload import WorkloadSpec, generate
 
 
 def queue_env(durations_demands, **overrides):
@@ -95,8 +96,8 @@ def tetris_oracle(env, lam_short=0.05):
     free_norm = float(np.linalg.norm(free))
     best = None
     best_score = None
-    for i, job in env.queued_jobs():
-        if not env.image.fits_at(job, 0):
+    for i, job in enumerate(env.queue):
+        if job is None or not env.image.fits_at(job, 0):
             continue
         demand = np.asarray(job.demand, dtype=np.float64)
         norm = free_norm * float(np.linalg.norm(demand))
@@ -138,8 +139,8 @@ def test_tetris_matches_numpy_score_oracle():
                 expected = tetris_oracle(env, lam_short)
                 assert tetris_select(env, lam_short) == expected
                 checked += 1
-                fitting = [(j.duration, j.demand) for _, j in env.queued_jobs()
-                           if env.image.fits_at(j, 0)]
+                fitting = [(j.duration, j.demand) for j in env.queue
+                           if j is not None and env.image.fits_at(j, 0)]
                 ties += len(set(fitting)) < len(fitting)
                 # random moves reach more varied rows than the policy alone
                 env.step(expected if rng.random() < 0.5
@@ -192,8 +193,8 @@ def test_deterministic_baselines_work_conserving():
         while not env.is_done():
             action = policy(env)
             if action == 0:
-                fitting = [i for i, j in env.queued_jobs()
-                           if env.image.fits_at(j, 0)]
+                fitting = [i for i, j in enumerate(env.queue)
+                           if j is not None and env.image.fits_at(j, 0)]
                 assert fitting == []
             env.step(action)
 
@@ -233,24 +234,32 @@ def test_make_policy_argument_validation():
 
 
 def test_run_greedy_empty_workload():
-    env = ClusterEnv(EnvConfig()).reset([])
-    report = run_greedy(make_policy("sjf"), env)
+    env = ClusterEnv(EnvConfig())
+    report = run_greedy(make_policy("sjf"), env, [], 0.99)
     assert report.completed == 0
     assert report.discounted_reward == 0.0
 
 
 def test_run_greedy_single_job_slowdown_one():
-    env = ClusterEnv(EnvConfig()).reset([Job(0, 0, 4, (3, 2))])
-    report = run_greedy(make_policy("sjf"), env)
+    env = ClusterEnv(EnvConfig())
+    report = run_greedy(make_policy("sjf"), env, [Job(0, 0, 4, (3, 2))], 0.99)
     assert report.avg_slowdown == 1.0
     assert report.avg_waiting_time == 0.0
+
+
+def test_run_greedy_resets_its_env():
+    # a second run on the same env replays the episode, reward included
+    jobs = generate(WorkloadSpec(rate=0.7, seed=0), EnvConfig())
+    env = ClusterEnv(EnvConfig())
+    first = run_greedy(make_policy("sjf"), env, jobs, 0.99)
+    assert first.completed == len(jobs) and first.discounted_reward < 0
+    assert run_greedy(make_policy("sjf"), env, jobs, 0.99) == first
 
 
 def test_run_greedy_forced_serialization():
     env = ClusterEnv(EnvConfig(capacities=(4, 4)))
     jobs = [Job(0, 0, 1, (4, 4)), Job(1, 0, 1, (4, 4))]
-    env.reset(jobs)
-    run_greedy(make_policy("sjf"), env)
+    run_greedy(make_policy("sjf"), env, jobs, 0.99)
     finishes = sorted(j.finished_at for j in env.completed)
     assert finishes == [1, 2]
 
@@ -279,7 +288,6 @@ def test_sjf_matches_brute_force_on_serial_instances():
         n = int(rng.integers(2, 8))
         durations = [int(rng.integers(1, 6)) for _ in range(n)]
         jobs = [Job(i, 0, d, (1, 1)) for i, d in enumerate(durations)]
-        env.reset(jobs)
-        report = run_greedy(make_policy("sjf"), env)
+        report = run_greedy(make_policy("sjf"), env, jobs, 0.99)
         assert report.completed == n
         assert report.avg_waiting_time == brute_force_min_avg_waiting(durations)

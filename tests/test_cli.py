@@ -186,6 +186,11 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
         ("sweep", "experiment: {job_rates: [0.6, 1.5]}\n", "SpecError", "rate"),
         ("train", "agent: {fc_hidden: 64}\n", "ConfigError", "fc_hidden"),
         ("sweep", "experiment: {lam_short: 0.1}\n", "ConfigError", "lam_short"),
+        ("sweep", "agent: {architecture: resnet}\nexperiment: "
+         "{policies: [sjf, a2c], checkpoint: X}\n", "ConfigError", "resnet"),
+        ("train", "experiment: {polices: [sjf]}\n", "ConfigError", "polices"),
+        ("evaluate", "train: {epochs: 3}\n", "ConfigError", "epochs"),
+        ("sweep", "train: {epochs: 3}\n", "ConfigError", "epochs"),
     ],
     ids=["non-integer-env-value", "malformed-yaml", "non-pair-range",
          "non-integer-agent-value", "non-integer-train-value",
@@ -197,7 +202,9 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
          "nan-lr-critic", "nan-entropy-coeff", "inf-entropy-coeff",
          "negative-init-scale", "no-train-sequences", "workload-seed-train",
          "workload-seed-evaluate", "workload-seed-sweep", "unknown-policy",
-         "out-of-range-job-rate", "removed-fc-hidden", "removed-lam-short"],
+         "out-of-range-job-rate", "removed-fc-hidden", "removed-lam-short",
+         "unknown-architecture-sweep", "unread-experiment-key-train",
+         "unread-train-key-evaluate", "unread-train-key-sweep"],
 )
 def test_malformed_config_value_fails_with_json_error(tmp_path, capsys, command,
                                                       text, error, fragment):
@@ -315,3 +322,43 @@ def test_training_log_matches_recorded_digest(tmp_path, arch):
     )
     log = (tmp_path / "training_log.csv").read_bytes()
     assert hashlib.sha256(log).hexdigest() == digest
+
+
+# sha256 of the file and the exact stdout of the a2c evaluate below
+RECORDED_A2C_EVALUATE = (
+    "454e98895bc5e2558bab8a80d91225c59a8166663f9754a7be255cb52576a837",
+    '{"avg_slowdown": 2.728803851974584, "episodes": 2, "job_rate": 0.7, '
+    '"policy": "a2c"}\n',
+)
+
+
+def test_a2c_evaluate_matches_recorded_output(tmp_path):
+    """A one-episode conv32_pool checkpoint, trained and then evaluated
+    greedily in fresh processes with one BLAS thread, writes the recorded
+    result file and stdout.
+
+    ROADMAP item 1 (the fits-now action mask, the batched update) will change
+    both values; the change that does so records the old and new values in
+    CHANGES.md.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(root / "src"), os.environ.get("PYTHONPATH")])))
+
+    def rlsched(*argv):
+        return subprocess.run([sys.executable, "-m", "rlsched.cli", *argv],
+                              cwd=root, env=env, check=True,
+                              capture_output=True, text=True).stdout
+
+    rlsched("train", "--config", "configs/default.yaml", "--arch",
+            "conv32_pool", "--episodes", "1", "--out", str(tmp_path / "t"))
+    config = tmp_path / "agent.yaml"
+    config.write_text("agent: {architecture: conv32_pool}\n")
+    out = tmp_path / "eval.csv"
+    stdout = rlsched("evaluate", "--config", str(config), "--policy", "a2c",
+                     "--checkpoint", str(tmp_path / "t" / "checkpoints" / "final"),
+                     "--episodes", "2", "--out", str(out))
+    digest, expected = RECORDED_A2C_EVALUATE
+    assert stdout == expected
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

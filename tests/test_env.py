@@ -111,6 +111,22 @@ def test_allocate_infeasible_within_horizon():
     assert env.image.earliest_offset(env.queue[1]) is None
 
 
+# -- fitting_jobs ---------------------------------------------------------------
+
+
+def test_fitting_jobs_returns_only_jobs_that_fit_now():
+    # the filler leaves slot 0 empty and blocks the wide job until row 3
+    env = make_env(capacities=(10, 10))
+    filler = job(0, duration=3, demand=(8, 1))
+    wide = job(1, duration=1, demand=(4, 1))
+    narrow = job(2, duration=1, demand=(2, 1))
+    env.reset([filler, wide, narrow])
+    env.step(1)
+    assert env.queue[0] is None
+    assert env.image.earliest_offset(env.queue[1]) == 3
+    assert [(i, j.id) for i, j in env.fitting_jobs()] == [(2, 2)]
+
+
 # -- step -----------------------------------------------------------------------
 
 
@@ -218,7 +234,8 @@ def test_completion_lifecycle():
 def test_arrivals_admitted_on_their_step():
     env = make_env().reset([job(0, arrival=2)])
     for _ in range(2):
-        assert env.queued_jobs() == [] and not backlog(env) and not env.running
+        assert all(j is None for j in env.queue)
+        assert not backlog(env) and not env.running
         env.advance_time()
     assert env.queue[0] is not None
 
@@ -385,7 +402,7 @@ def test_fit_search_and_encoding_match_job_records(scenario):
 
     def check():
         used = reference_use(env)
-        for _, queued in env.queued_jobs():
+        for queued in [j for j in env.queue if j is not None]:
             fits = [
                 0 <= o <= h - queued.duration and all(
                     used[o + k, r] + d <= cap

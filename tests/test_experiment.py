@@ -162,6 +162,11 @@ RECORDED_DIGESTS = {
     "episodes.csv": "473b385779620138b0fe077c8be8b89c84e2499a9191cb5f593e99cdcb4627fd",
     "summary.csv": "3af534460dcc92c9ade3015af3f8f8739a90c0e7be0311a7752871c47b37705e",
 }
+# one sha256 over the 24 plot series of that sweep (smooth=2), in sorted
+# relative-path order, each fed as path + NUL + file bytes
+RECORDED_SERIES_DIGEST = (
+    "1a8ce82e47fc3d01539b2d296989a48ab51cd29fbddb02b6d32bc0805dc23b25"
+)
 
 
 def test_sweep_matches_recorded_digest(tmp_path):
@@ -171,3 +176,11 @@ def test_sweep_matches_recorded_digest(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / "r" / name).read_bytes()).hexdigest()
                for name in RECORDED_DIGESTS}
     assert digests == RECORDED_DIGESTS
+
+    plots = tmp_path / "p"
+    files = emit_plot_series(tmp_path / "r", plots, smooth=2)
+    assert len(files) == 24
+    series = hashlib.sha256()
+    for rel in sorted(f.relative_to(plots).as_posix() for f in files):
+        series.update(rel.encode() + b"\0" + (plots / rel).read_bytes())
+    assert series.hexdigest() == RECORDED_SERIES_DIGEST
