@@ -260,10 +260,11 @@ class EpisodeRecord:
     avg_waiting_time: float | None
     completed: int
     truncated: bool
-    actor_loss: float
-    critic_loss: float
-    entropy: float
-    mean_advantage: float
+    # means of update()'s diagnostics over the episode; 0.0 without an update
+    actor_loss: float = 0.0
+    critic_loss: float = 0.0
+    entropy: float = 0.0
+    mean_advantage: float = 0.0
 
 
 TRAINING_LOG_COLUMNS = [f.name for f in dataclasses.fields(EpisodeRecord)]
@@ -297,9 +298,7 @@ def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs,
     obs = env.encode_state()
     segment: list[Transition] = []
     rewards: list[float] = []
-    sums = {"actor_loss": 0.0, "critic_loss": 0.0, "entropy": 0.0,
-            "mean_advantage": 0.0}
-    updates = 0
+    diags: list[dict] = []
     while not env.is_done():
         action = agent.act(obs)
         outcome = env.step(action)
@@ -309,30 +308,26 @@ def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs,
             Transition(obs, action, outcome.reward, next_obs, outcome.done)
         )
         if len(segment) >= cfg.n_steps or outcome.done:
-            diag = agent.update(segment)
-            for key in sums:
-                sums[key] += diag[key]
-            updates += 1
+            diags.append(agent.update(segment))
             segment = []
         obs = next_obs
     report = episode_report(env.completed, rewards, cfg.gamma,
                             total_jobs=len(env.jobs))
-    if updates:
-        for key in sums:
-            sums[key] /= updates
+    means = {key: sum(d[key] for d in diags) / len(diags)
+             for key in (diags[0] if diags else ())}
     return EpisodeRecord(
         episode=episode,
         steps=len(rewards),
-        updates=updates,
+        updates=len(diags),
         total_reward=float(sum(rewards)),
         **dataclasses.asdict(report),
-        **sums,
+        **means,
     )
 
 
 def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
           episodes: int, seed: int = 0, checkpoint_dir: str | Path | None = None,
-          checkpoint_every: int = 0, log_path: str | Path | None = None):
+          log_path: str | Path | None = None):
     """Algorithm: loop over episodes, cycling through the given job
     sequences, sampling actions from the current policy and updating both
     networks every n_steps transitions. Deterministic given the seed.
@@ -343,10 +338,6 @@ def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
         raise ConfigError("need at least one job sequence to train on")
     if episodes < 0:
         raise ConfigError(f"episodes must be >= 0, got {episodes}")
-    if checkpoint_every < 0:
-        raise ConfigError(
-            f"checkpoint_every must be >= 0, got {checkpoint_every}"
-        )
     env = ClusterEnv(env_config)
     agent = ActorCriticAgent(
         env.observation_shape(),
@@ -366,10 +357,6 @@ def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
             records.append(record)
             if writer:
                 writer.write(record)
-            if checkpoint_dir and checkpoint_every and (
-                (episode + 1) % checkpoint_every == 0
-            ):
-                agent.save(Path(checkpoint_dir) / f"episode_{episode + 1:06d}")
         if checkpoint_dir:
             agent.save(Path(checkpoint_dir) / "final")
     finally:

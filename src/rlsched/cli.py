@@ -14,12 +14,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .agent import ARCHITECTURE_NAMES, AgentConfig, train
 from .baselines import POLICY_KINDS, make_policy, run_greedy
-from .config import EnvConfig, check_seed, from_section, read_yaml, section_keys
+from .config import EnvConfig, check_seed, from_section, read_yaml, section_values
 from .env import ClusterEnv
 from .errors import ConfigError, RlschedError
 from .experiment import (
@@ -28,6 +26,7 @@ from .experiment import (
     emit_plot_series,
     run_cell,
     run_experiment,
+    summarize,
     write_csv,
 )
 from .workload import WorkloadSpec, derived_seed, generate
@@ -38,12 +37,11 @@ EVALUATE_COLUMNS = EPISODE_COLUMNS[EPISODE_COLUMNS.index("episode"):]
 
 @dataclass(frozen=True)
 class TrainSpec:
-    """The `train` section: episode count, number of fixed job sequences
-    cycled during training, and checkpoint period (0 = final only)."""
+    """The `train` section: episode count and number of fixed job sequences
+    cycled during training."""
 
     episodes: int = 500
     sequences: int = 1
-    checkpoint_every: int = 0
 
 
 SECTIONS = {"env": EnvConfig, "workload": WorkloadSpec, "agent": AgentConfig,
@@ -51,23 +49,24 @@ SECTIONS = {"env": EnvConfig, "workload": WorkloadSpec, "agent": AgentConfig,
 
 
 def load_harness_config(path: str | None) -> dict:
-    """Read the harness config file. Unknown sections, unknown keys in every
-    section (whether or not the command reads it) and `workload.seed` are
-    rejected here; each value is checked when `from_section` builds it."""
-    raw = {}
-    if path:
-        raw = read_yaml(path) or {}
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: expected a mapping of sections")
-        unknown = set(raw) - set(SECTIONS)
-        if unknown:
-            raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
-        for name in raw:
-            section_keys(SECTIONS[name], raw[name], name)
-        if "seed" in (raw.get("workload") or {}):
-            raise ConfigError(f"{path}: workload.seed is not a setting; seeds "
-                              "come from --seed, --seeds or experiment.seeds")
-    return raw
+    """Read the harness config file: each section's values, typed. Unknown
+    sections, unknown keys and mistyped values in every section (whether or
+    not the command reads it) and `workload.seed` are rejected here; range
+    and cross-field checks run when `section` builds a section."""
+    if not path:
+        return {}
+    raw = read_yaml(path) or {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a mapping of sections")
+    unknown = set(raw) - set(SECTIONS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
+    values = {name: section_values(SECTIONS[name], raw[name], name)
+              for name in raw}
+    if "seed" in values.get("workload", {}):
+        raise ConfigError(f"{path}: workload.seed is not a setting; seeds "
+                          "come from --seed, --seeds or experiment.seeds")
+    return values
 
 
 def section(raw: dict, name: str, **flags):
@@ -116,26 +115,22 @@ def cmd_train(args) -> int:
         episodes=spec.episodes,
         seed=args.seed,
         checkpoint_dir=out / "checkpoints",
-        checkpoint_every=spec.checkpoint_every,
         log_path=out / "training_log.csv",
     )
 
     env = ClusterEnv(env_cfg)
     policy = make_policy("a2c", agent=agent)
-    eval_rows = []
-    for jobs in sequences:
-        report = run_greedy(policy, env, jobs, agent_cfg.gamma)
-        eval_rows.append(report.avg_slowdown)
-    greedy = [s for s in eval_rows if s is not None]
+    greedy = summarize([
+        dataclasses.asdict(run_greedy(policy, env, jobs, agent_cfg.gamma))
+        for jobs in sequences
+    ])
     print(
         json.dumps(
             {
                 "trained_episodes": len(records),
                 "checkpoint": str(out / "checkpoints" / "final"),
                 "log": str(out / "training_log.csv"),
-                "greedy_avg_slowdown": (
-                    float(np.mean(greedy)) if greedy else None
-                ),
+                "greedy_avg_slowdown": greedy["avg_slowdown_mean"],
             },
             sort_keys=True,
         )
@@ -156,14 +151,13 @@ def cmd_evaluate(args) -> int:
     rows = run_cell(spec, args.policy, 0, spec.seeds[0])
     if args.out:
         write_csv(Path(args.out), EVALUATE_COLUMNS, rows)
-    slowdowns = [r["avg_slowdown"] for r in rows if r["avg_slowdown"] is not None]
     print(
         json.dumps(
             {
                 "policy": args.policy,
                 "job_rate": spec.job_rates[0],
                 "episodes": spec.episodes,
-                "avg_slowdown": float(np.mean(slowdowns)) if slowdowns else None,
+                "avg_slowdown": summarize(rows)["avg_slowdown_mean"],
             },
             sort_keys=True,
         )
@@ -200,7 +194,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Flags that set a config key carry no type: `from_section` converts them."""
+    """Flags that set a config key carry no type: `section_values` converts
+    them."""
     parser = _Parser(
         prog="rlsched",
         description="Cluster-scheduling simulator, learned scheduler, and "

@@ -1,8 +1,8 @@
 """Cluster/simulator configuration and the config file format.
 
-The on-disk format is YAML. `section_keys` rejects unknown keys, and
-`from_section` converts each value to its field's annotated type, so typos
-and malformed values fail loudly instead of running with defaults.
+The on-disk format is YAML. `section_values` rejects unknown keys and
+converts each value to its field's annotated type, so typos and malformed
+values fail loudly instead of running with defaults.
 """
 from __future__ import annotations
 
@@ -98,11 +98,18 @@ def _convert(tp, value):
     return tp(value)
 
 
-def section_keys(cls, raw, section: str) -> dict:
-    """The mapping of one config-file section, checked to name only fields of
-    the dataclass `cls`; `raw` is None when the section is absent or empty."""
+def section_values(cls, raw, section: str, **overrides) -> dict:
+    """The fields of the dataclass `cls` that one config-file section sets,
+    each converted to its annotated type.
+
+    `raw` is the section's mapping, or None when the section is absent.
+    `overrides` (command-line flags) are converted the same way and win over
+    the file; an override of None is a flag that was not given. Any bad key
+    or value raises a ConfigError naming the section and the key. Range and
+    cross-field checks are left to `cls`, so they run when it is built.
+    """
     if raw is None:
-        return {}
+        raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(
             f"{section} section: expected a mapping, got {type(raw).__name__}"
@@ -110,27 +117,21 @@ def section_keys(cls, raw, section: str) -> dict:
     unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-    return raw
+    types = typing.get_type_hints(cls)
+    given = {k: v for k, v in overrides.items() if v is not None}
+    values = {}
+    for key, value in [*raw.items(), *given.items()]:
+        try:
+            values[key] = _convert(types[key], value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{section} key {key!r}: {exc}") from None
+    return values
 
 
 def from_section(cls, raw, section: str, **overrides):
-    """Build the dataclass `cls` from one config-file section.
-
-    `raw` is the section's mapping, or None when the section is absent.
-    `overrides` (command-line flags) are converted the same way and win over
-    the file; an override of None is a flag that was not given. Any bad key
-    or value raises a ConfigError naming the section and the key.
-    """
-    raw = section_keys(cls, raw, section)
-    types = typing.get_type_hints(cls)
-    given = {k: v for k, v in overrides.items() if v is not None}
-    kwargs = {}
-    for key, value in [*raw.items(), *given.items()]:
-        try:
-            kwargs[key] = _convert(types[key], value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{section} key {key!r}: {exc}") from None
-    return cls(**kwargs)
+    """Build the dataclass `cls` from one config-file section and the flags
+    that override it (see `section_values`)."""
+    return cls(**section_values(cls, raw, section, **overrides))
 
 
 def read_yaml(path: str | Path):

@@ -113,24 +113,28 @@ def run_cell(spec: ExperimentSpec, policy_kind: str, rate_index: int,
     return rows
 
 
+def summarize(rows: list[dict]) -> dict:
+    """`<metric>_mean` and `<metric>_std` of each SUMMARY_METRICS entry over
+    the rows that report it, None when no row does. Every mean the harness
+    reports comes from here."""
+    summary = {}
+    for metric in SUMMARY_METRICS:
+        values = [r[metric] for r in rows if r[metric] is not None]
+        summary[f"{metric}_mean"] = float(np.mean(values)) if values else None
+        summary[f"{metric}_std"] = float(np.std(values)) if values else None
+    return summary
+
+
 def _summarize(rows: list[dict], window: int) -> dict:
     tail = rows[-window:] if window > 0 else rows
-    summary = {
+    return {
         "policy": tail[0]["policy"],
         "job_rate": tail[0]["job_rate"],
         "seed": tail[0]["seed"],
         "episodes": len(rows),
         "window": len(tail),
+        **summarize(tail),
     }
-    for metric in SUMMARY_METRICS:
-        values = [r[metric] for r in tail if r[metric] is not None]
-        if values:
-            summary[f"{metric}_mean"] = float(np.mean(values))
-            summary[f"{metric}_std"] = float(np.std(values))
-        else:
-            summary[f"{metric}_mean"] = None
-            summary[f"{metric}_std"] = None
-    return summary
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path):
@@ -159,9 +163,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path):
         cells.append({**cell, "status": "complete"})
 
     write_csv(out_dir / "episodes.csv", EPISODE_COLUMNS, episode_rows)
-    summary_columns = ["policy", "job_rate", "seed", "episodes", "window"]
-    for metric in SUMMARY_METRICS:
-        summary_columns += [f"{metric}_mean", f"{metric}_std"]
+    summary_columns = ["policy", "job_rate", "seed", "episodes", "window",
+                       *summarize([])]
     write_csv(out_dir / "summary.csv", summary_columns, summary_rows)
     manifest = {
         "version": __version__,

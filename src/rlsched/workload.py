@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import EnvConfig, check_seed
 from .env import Job, validate_jobs
-from .errors import ConfigError, ParseError, SpecError
+from .errors import ConfigError, ParseError, SpecError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,16 @@ def load_trace(
 
 
 def save_trace(jobs, path: str | Path) -> None:
-    """Write jobs in the canonical trace layout (step units, two resources)."""
+    """Write jobs in the canonical trace layout (step units, two resources).
+    A job with another number of demands fails before the file is opened."""
+    jobs = list(jobs)
+    width = len(TraceMapping.demand_columns)
+    for job in jobs:
+        if len(job.demand) != width:
+            raise ValidationError(
+                f"{len(job.demand)} demands; the canonical layout has {width}",
+                job_id=job.id,
+            )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_COLUMNS)

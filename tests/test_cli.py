@@ -191,6 +191,12 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
         ("train", "experiment: {polices: [sjf]}\n", "ConfigError", "polices"),
         ("evaluate", "train: {epochs: 3}\n", "ConfigError", "epochs"),
         ("sweep", "train: {epochs: 3}\n", "ConfigError", "epochs"),
+        ("train", "experiment: {env: {horizon: 8}}\n", "ConfigError", "env"),
+        ("train", "experiment: {episodes: abc}\n", "ConfigError", "episodes"),
+        ("evaluate", "train: {episodes: abc}\n", "ConfigError", "episodes"),
+        ("sweep", "train: {episodes: abc}\n", "ConfigError", "episodes"),
+        ("train", "train: {checkpoint_every: 5}\n", "ConfigError",
+         "checkpoint_every"),
     ],
     ids=["non-integer-env-value", "malformed-yaml", "non-pair-range",
          "non-integer-agent-value", "non-integer-train-value",
@@ -204,7 +210,10 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
          "workload-seed-evaluate", "workload-seed-sweep", "unknown-policy",
          "out-of-range-job-rate", "removed-fc-hidden", "removed-lam-short",
          "unknown-architecture-sweep", "unread-experiment-key-train",
-         "unread-train-key-evaluate", "unread-train-key-sweep"],
+         "unread-train-key-evaluate", "unread-train-key-sweep",
+         "experiment-sets-env-train", "unread-experiment-value-train",
+         "unread-train-value-evaluate", "unread-train-value-sweep",
+         "removed-checkpoint-every"],
 )
 def test_malformed_config_value_fails_with_json_error(tmp_path, capsys, command,
                                                       text, error, fragment):
@@ -293,35 +302,45 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-# arch: (episodes, sha256 of training_log.csv)
+# arch: (episodes, sha256 of training_log.csv, greedy_avg_slowdown printed)
 RECORDED_TRAINING_DIGESTS = {
-    "fc": ("3", "830b61420a0dde4619ca5bde34a08dc5254ae5fd67ed91e806e8e90e78c87118"),
-    "conv16": ("2", "39dcfe216cff92191dbd66af84bcf2006d485ad4a74bcf40f594609461568c4c"),
+    "fc": ("3", "830b61420a0dde4619ca5bde34a08dc5254ae5fd67ed91e806e8e90e78c87118",
+           5.011413780018431),
+    "conv16": ("2", "39dcfe216cff92191dbd66af84bcf2006d485ad4a74bcf40f594609461568c4c",
+               5.011413780018431),
+    "conv16_pool": ("2", "b4f9b5c0bee7e15de8c6fc5e3ac212db490e8c2078b1bed081c70959d4d684fe",
+                    5.240317434503481),
+    "conv32_pool": ("1", "cc0cb5f5aa4910c28d174cbb42a97448d03ef06935d80ca94eb04bba507c537b",
+                    5.3216121088214114),
 }
 
 
 @pytest.mark.parametrize("arch", sorted(RECORDED_TRAINING_DIGESTS))
 def test_training_log_matches_recorded_digest(tmp_path, arch):
     """`rlsched train --config configs/default.yaml` in a fresh process with
-    one BLAS thread writes a training log byte-identical to the recorded one.
+    one BLAS thread writes a training log byte-identical to the recorded one
+    and prints the recorded episode count and greedy mean slowdown.
 
     ROADMAP item 1 (invalid-action masking, the return scale) will change
-    both digests; the change that does so records the old and new values in
-    CHANGES.md.
+    these digests and slowdowns; the change that does so records the old and
+    new values in CHANGES.md.
     """
     root = Path(__file__).resolve().parents[1]
-    episodes, digest = RECORDED_TRAINING_DIGESTS[arch]
+    episodes, digest, greedy = RECORDED_TRAINING_DIGESTS[arch]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [
                    str(root / "src"), os.environ.get("PYTHONPATH")])))
-    subprocess.run(
+    stdout = subprocess.run(
         [sys.executable, "-m", "rlsched.cli", "train", "--config",
          "configs/default.yaml", "--arch", arch, "--episodes", episodes,
          "--out", str(tmp_path)],
-        cwd=root, env=env, check=True, capture_output=True,
-    )
+        cwd=root, env=env, check=True, capture_output=True, text=True,
+    ).stdout
     log = (tmp_path / "training_log.csv").read_bytes()
     assert hashlib.sha256(log).hexdigest() == digest
+    printed = json.loads(stdout)
+    assert printed["trained_episodes"] == int(episodes)
+    assert printed["greedy_avg_slowdown"] == greedy
 
 
 # sha256 of the file and the exact stdout of the a2c evaluate below

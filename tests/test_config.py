@@ -1,8 +1,11 @@
+import dataclasses
+import typing
+
 import pytest
 import yaml
 
 from rlsched.agent import AgentConfig
-from rlsched.cli import TrainSpec, load_harness_config
+from rlsched.cli import SECTIONS, TrainSpec, load_harness_config
 from rlsched.config import EnvConfig, from_section, read_yaml
 from rlsched.errors import ConfigError
 from rlsched.experiment import ExperimentSpec
@@ -110,3 +113,10 @@ def test_load_repo_default_config():
     for cls, section in [(EnvConfig, "env"), (WorkloadSpec, "workload"),
                          (AgentConfig, "agent"), (TrainSpec, "train")]:
         assert from_section(cls, raw[section], section) == cls()
+    # ...and names every settable key: nested sections have their own, seeds
+    # come from flags, and a checkpoint is a path given per run
+    unlisted = {"workload": {"seed"}, "experiment": {"checkpoint"}}
+    for section, cls in SECTIONS.items():
+        settable = {key for key, tp in typing.get_type_hints(cls).items()
+                    if not dataclasses.is_dataclass(tp)}
+        assert set(raw[section]) == settable - unlisted.get(section, set()), section

@@ -241,3 +241,12 @@ def test_save_then_load_round_trip(tmp_path):
     save_trace(jobs, path)
     loaded = load_trace(path, EnvConfig())
     assert loaded == sorted(jobs, key=lambda j: j.arrival)
+
+
+def test_save_trace_rejects_non_canonical_demand(tmp_path):
+    path = tmp_path / "out.csv"
+    jobs = [Job(0, 0, 1, (1, 1)), Job(7, 1, 1, (1, 1, 1))]
+    with pytest.raises(ValidationError) as err:
+        save_trace(jobs, path)
+    assert err.value.job_id == 7
+    assert not path.exists()
