@@ -426,7 +426,8 @@ def test_train_deterministic_given_seed():
         assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("bad", [{"episodes": -3}, {"seed": -1}])
+@pytest.mark.parametrize("bad", [{"episodes": -3}, {"episodes": 0, "seed": -1},
+                                 {"seed": -1}])
 def test_train_rejects_negative_counts(tmp_path, bad):
     kwargs = {"episodes": 2, "seed": 0, **bad}
     with pytest.raises(ConfigError):
