@@ -122,14 +122,12 @@ class ActorCriticAgent:
                  chain=None):
         check_seed(seed)
         self.config = config or AgentConfig()
-        self.observation_shape = tuple(observation_shape)
-        self.num_actions = int(num_actions)
-        input_shape = (1,) + self.observation_shape
+        input_shape = (1, *observation_shape)
         if chain is None:
             chain = architecture_chain(self.config.architecture)
         seeds = np.random.SeedSequence(seed).spawn(3)
         self.actor = Network(
-            list(chain) + [dense(self.num_actions)],
+            list(chain) + [dense(int(num_actions))],
             input_shape,
             seed=seeds[0],
             init_scale=self.config.init_scale,
@@ -148,8 +146,12 @@ class ActorCriticAgent:
         return np.asarray(state)[None, None, :, :]
 
     def policy(self, state: np.ndarray) -> np.ndarray:
+        """Action probabilities; TrainingDiverged if the weights overflowed."""
         logits, _ = self.actor.forward(self._batch(state))
-        return softmax(logits[0])
+        probs = softmax(logits[0])
+        if not math.isfinite(probs.sum()):
+            raise TrainingDiverged("policy probabilities are not finite")
+        return probs
 
     def value(self, state: np.ndarray) -> float:
         out, _ = self.critic.forward(self._batch(state))
@@ -339,12 +341,8 @@ def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
     if episodes < 0:
         raise ConfigError(f"episodes must be >= 0, got {episodes}")
     env = ClusterEnv(env_config)
-    agent = ActorCriticAgent(
-        env.observation_shape(),
-        env_config.queue_slots + 1,
-        config=agent_config,
-        seed=seed,
-    )
+    agent = ActorCriticAgent(env.observation_shape(), env_config.num_actions,
+                             config=agent_config, seed=seed)
     records: list[EpisodeRecord] = []
     writer = _LogWriter(log_path) if log_path else None
     try:
@@ -358,7 +356,7 @@ def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
             if writer:
                 writer.write(record)
         if checkpoint_dir:
-            agent.save(Path(checkpoint_dir) / "final")
+            agent.save(checkpoint_dir)
     finally:
         if writer:
             writer.close()

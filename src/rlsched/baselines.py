@@ -16,22 +16,22 @@ from .errors import ConfigError
 from .metrics import EpisodeReport, episode_report
 
 POLICY_KINDS = ("random", "sjf", "tetris", "a2c")
+LAM_SHORT = 0.05  # Tetris's weight on the short-job term
+VOID = (0, None)  # the void action, as an (action, job) pair
 
 
 def sjf_select(env: ClusterEnv) -> int:
-    """Slot holding the shortest fitting job; ties break to the lowest slot;
-    void when nothing fits."""
-    best = None
-    best_duration = None
-    for i, job in env.fitting_jobs():
-        if best_duration is None or job.duration < best_duration:
-            best, best_duration = i, job.duration
-    return 0 if best is None else best + 1
+    """The shortest fitting job; ties go to the lowest action, since `min`
+    returns the first minimum; void when nothing fits."""
+    return min(env.fitting_jobs(), key=lambda pair: pair[1].duration,
+               default=VOID)[0]
 
 
-def tetris_select(env: ClusterEnv, lam_short: float = 0.05) -> int:
+def tetris_select(env: ClusterEnv) -> int:
     """Packing-plus-short-jobs score: cosine alignment between the current
-    row's free-resource vector and the job demand, plus lam_short / duration.
+    row's free-resource vector and the job demand, plus LAM_SHORT / duration.
+    Ties go to the lowest action, since `max` returns the first maximum; void
+    when nothing fits.
 
     Free units and demands are small integers, so their sums of squares and
     dot products are exact in Python integers, and `math.sqrt` and the one
@@ -39,23 +39,21 @@ def tetris_select(env: ClusterEnv, lam_short: float = 0.05) -> int:
     free = [cap - col[0] for cap, col in
             zip(env.config.capacities, env.image.columns)]
     free_norm = math.sqrt(sum(f * f for f in free))
-    best = None
-    best_score = None
-    for i, job in env.fitting_jobs():
-        demand = job.demand
+
+    def score(pair) -> float:
+        demand = pair[1].demand
         norm = free_norm * math.sqrt(sum(d * d for d in demand))
         alignment = (
             sum(f * d for f, d in zip(free, demand)) / norm if norm > 0 else 0.0
         )
-        score = alignment + lam_short / job.duration
-        if best_score is None or score > best_score:
-            best, best_score = i, score
-    return 0 if best is None else best + 1
+        return alignment + LAM_SHORT / pair[1].duration
+
+    return max(env.fitting_jobs(), key=score, default=VOID)[0]
 
 
 def random_select(env: ClusterEnv, rng: np.random.Generator) -> int:
-    """Uniform over the fitting slots plus the void action."""
-    choices = [0] + [i + 1 for i, _ in env.fitting_jobs()]
+    """Uniform over the fitting jobs' actions plus the void action."""
+    choices = [0] + [action for action, _ in env.fitting_jobs()]
     return int(choices[rng.integers(len(choices))])
 
 

@@ -108,13 +108,14 @@ def cmd_train(args) -> int:
     spec = section(raw, "train", episodes=args.episodes)
     sequences = _training_sequences(env_cfg, workload, spec.sequences, args.seed)
     out = Path(args.out)
+    checkpoint = out / "checkpoints" / "final"
     records, agent = train(
         env_cfg,
         sequences,
         agent_cfg,
         episodes=spec.episodes,
         seed=args.seed,
-        checkpoint_dir=out / "checkpoints",
+        checkpoint_dir=checkpoint,
         log_path=out / "training_log.csv",
     )
 
@@ -128,7 +129,7 @@ def cmd_train(args) -> int:
         json.dumps(
             {
                 "trained_episodes": len(records),
-                "checkpoint": str(out / "checkpoints" / "final"),
+                "checkpoint": str(checkpoint),
                 "log": str(out / "training_log.csv"),
                 "greedy_avg_slowdown": greedy["avg_slowdown_mean"],
             },

@@ -22,8 +22,7 @@ class EnvConfig:
 
     horizon: look-ahead window in time steps (rows of the occupancy image)
     capacities: total units per resource
-    queue_slots: number of schedulable queue positions (the action space is
-        queue_slots + 1, action 0 being the void action)
+    queue_slots: number of schedulable queue positions
     backlog_size: maximum jobs held in the overflow FIFO
     episode_limit: hard cap on simulated steps per episode
     resources: resource names, same length as capacities
@@ -58,6 +57,11 @@ class EnvConfig:
     @property
     def num_resources(self) -> int:
         return len(self.capacities)
+
+    @property
+    def num_actions(self) -> int:
+        """Action 0 is void; action i + 1 picks queue slot i."""
+        return self.queue_slots + 1
 
 
 def check_seed(seed: int) -> None:

@@ -240,9 +240,9 @@ class ClusterEnv:
     def step(self, action: int) -> StepOutcome:
         """Apply one action. Valid allocations do not advance time; the void
         action, an empty slot, or an unfittable job advance time by one step."""
-        n = self.config.queue_slots
-        if not isinstance(action, (int, np.integer)) or action < 0 or action > n:
-            raise InvalidActionError(f"action must be in [0, {n}], got {action!r}")
+        n = self.config.num_actions
+        if not isinstance(action, (int, np.integer)) or action < 0 or action >= n:
+            raise InvalidActionError(f"action must be in [0, {n - 1}], got {action!r}")
         if self.is_done():
             raise EpisodeFinished("step() called on a finished episode")
 
@@ -251,10 +251,11 @@ class ClusterEnv:
         if action == 0:
             reward, _ = self.advance_time()
         else:
-            job = self.queue[action - 1]
+            slot = action - 1
+            job = self.queue[slot]
             offset = self.image.earliest_offset(job) if job is not None else None
             if job is not None and offset is not None:
-                self._allocate(action - 1, offset)
+                self._allocate(slot, offset)
             else:
                 invalid = True
                 reward, _ = self.advance_time()
@@ -303,7 +304,7 @@ class ClusterEnv:
     # -- candidates ------------------------------------------------------------
 
     def fitting_jobs(self) -> list[tuple[int, Job]]:
-        """The one fits-now rule: (slot_index, job), lowest slot first, for
-        each queued job that fits at offset 0; slot_index is 0-based."""
-        return [(i, j) for i, j in enumerate(self.queue)
+        """The one fits-now rule: (action, job), lowest action first, for
+        each queued job that fits at offset 0; `step(action)` starts it now."""
+        return [(a, j) for a, j in enumerate(self.queue, start=1)
                 if j is not None and self.image.fits_at(j, 0)]

@@ -77,12 +77,8 @@ def _build_policy(kind: str, spec: ExperimentSpec, env: ClusterEnv,
     if kind == "random":
         rng = np.random.default_rng(np.random.SeedSequence([seed, rate_index, 0xA5]))
     if kind == "a2c":
-        agent = ActorCriticAgent(
-            env.observation_shape(),
-            spec.env.queue_slots + 1,
-            config=spec.agent,
-            seed=seed,
-        )
+        agent = ActorCriticAgent(env.observation_shape(), spec.env.num_actions,
+                                 config=spec.agent, seed=seed)
         agent.load(spec.checkpoint)
     return make_policy(kind, rng=rng, agent=agent)
 

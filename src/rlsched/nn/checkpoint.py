@@ -7,6 +7,7 @@ network with a different fingerprint is an error.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -31,23 +32,23 @@ def save_params(net, path: str | Path) -> None:
 
 
 def load_params(net, path: str | Path) -> None:
-    """Load a checkpoint into `net` in place."""
-    with np.load(path, allow_pickle=False) as data:
-        try:
+    """Load a checkpoint into `net` in place. A file that does not read as a
+    parameter archive with the arrays `net` needs is a ConfigError."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
-        except KeyError:
-            raise ConfigError(f"{path}: not a parameter checkpoint") from None
-        if meta.get("format") != FORMAT_VERSION:
-            raise ConfigError(f"{path}: unsupported format {meta.get('format')}")
-        if meta.get("fingerprint") != net.fingerprint():
-            raise ConfigError(
-                f"{path}: checkpoint architecture {meta.get('fingerprint')!r} "
-                f"does not match network {net.fingerprint()!r}"
-            )
-        for i, params in enumerate(net.params):
-            if params is None:
-                continue
-            w, b = data[f"w{i}"], data[f"b{i}"]
-            if w.shape != params[0].shape or b.shape != params[1].shape:
-                raise ConfigError(f"{path}: parameter shape mismatch at layer {i}")
-            net.params[i] = (w.astype(net.dtype), b.astype(net.dtype))
+            if meta.get("format") != FORMAT_VERSION:
+                raise ConfigError(f"{path}: unsupported format {meta.get('format')}")
+            if meta.get("fingerprint") != net.fingerprint():
+                raise ConfigError(
+                    f"{path}: checkpoint architecture {meta.get('fingerprint')!r} "
+                    f"does not match network {net.fingerprint()!r}"
+                )
+            arrays = {i: (data[f"w{i}"], data[f"b{i}"])
+                      for i, params in enumerate(net.params) if params is not None}
+    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path}: not a parameter checkpoint ({exc})") from None
+    for i, (w, b) in arrays.items():
+        if w.shape != net.params[i][0].shape or b.shape != net.params[i][1].shape:
+            raise ConfigError(f"{path}: parameter shape mismatch at layer {i}")
+        net.params[i] = (w.astype(net.dtype), b.astype(net.dtype))

@@ -71,10 +71,12 @@ def check_invariants(env):
     assert env._step_reward() <= 0.0
 
 
-def random_stress(env, spec_factory, steps, seed):
+def random_stress(env, spec_factory, steps, seed, visit=None):
     """Drive `env` with uniform random actions over random workloads for
-    `steps` total steps, checking invariants after every step. Returns the
-    number of executed steps."""
+    `steps` total steps, checking invariants after every step. `visit(env,
+    rng)`, when given, runs at each state before its random action and may
+    step `env` itself, as long as it does not end the episode. Returns the
+    number of executed random steps."""
     from rlsched.workload import generate
 
     rng = np.random.default_rng(seed)
@@ -84,7 +86,10 @@ def random_stress(env, spec_factory, steps, seed):
         env.reset(jobs)
         check_invariants(env)
         while not env.is_done() and executed < steps:
-            action = int(rng.integers(0, env.config.queue_slots + 1))
+            if visit:
+                visit(env, rng)
+                check_invariants(env)
+            action = int(rng.integers(env.config.num_actions))
             env.step(action)
             check_invariants(env)
             executed += 1

@@ -123,7 +123,7 @@ def test_pooled_actor_matches_direct_forward(arch):
             states.append(env.encode_state())
         env.step(t % 3)
     # a wide init spreads the logits, so the greedy action is well defined
-    agent = ActorCriticAgent(env.observation_shape(), cfg.queue_slots + 1,
+    agent = ActorCriticAgent(env.observation_shape(), cfg.num_actions,
                              config=AgentConfig(architecture=arch, init_scale=0.1),
                              seed=7)
     for state in states:
@@ -156,6 +156,17 @@ def test_select_action_greedy_argmax():
     assert agent.select_action(np.array([0.2, 0.5, 0.3]), mode="greedy") == 1
     # first index wins ties
     assert agent.select_action(np.array([0.4, 0.4, 0.2]), mode="greedy") == 0
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sample"])
+def test_act_on_overflowed_weights_raises_training_diverged(mode):
+    """Weights pushed to inf give NaN probabilities; acting on them is an
+    error in both modes, not an argmax over NaN or a raw sampling error."""
+    agent = tiny_agent(num_actions=3)
+    w, b = agent.actor.params[-1]
+    agent.actor.params[-1] = (np.full_like(w, np.inf), b)
+    with pytest.raises(TrainingDiverged), np.errstate(invalid="ignore"):
+        agent.act(grid(1.0, 1.0), mode=mode)
 
 
 def test_select_action_sampling_frequencies():
@@ -379,7 +390,7 @@ def test_update_reuses_batch_buffers():
     resource = pytest.importorskip("resource")
     env = ClusterEnv(EnvConfig())
     env.reset(generate(WorkloadSpec(rate=0.7, seed=0), env.config))
-    agent = ActorCriticAgent(env.observation_shape(), env.config.queue_slots + 1,
+    agent = ActorCriticAgent(env.observation_shape(), env.config.num_actions,
                              seed=0)
     segments = []
     obs = env.encode_state()

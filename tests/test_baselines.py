@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rlsched import baselines
 from rlsched.baselines import (
     make_policy,
     random_select,
@@ -63,8 +64,7 @@ def test_tetris_prefers_aligned_demand():
     env.reset([filler, a, b])
     env.step(1)
     assert np.array_equal(env.image.free_counts()[0], [10, 4])
-    slot = tetris_select(env)
-    assert env.queue[slot - 1].id == 1
+    assert dict(env.fitting_jobs())[tetris_select(env)].id == 1
 
 
 def test_tetris_literal_skewed_row():
@@ -76,21 +76,19 @@ def test_tetris_literal_skewed_row():
     env.reset([filler, a, b])
     env.step(1)
     assert np.array_equal(env.image.free_counts()[0], [10, 2])
-    slot = tetris_select(env)
-    assert env.queue[slot - 1].id == 1
+    assert dict(env.fitting_jobs())[tetris_select(env)].id == 1
 
 
 def test_tetris_short_job_term_decides_equal_demands():
     env = queue_env([(10, (3, 2)), (2, (3, 2))])
-    slot = tetris_select(env)
-    assert env.queue[slot - 1].duration == 2
+    assert dict(env.fitting_jobs())[tetris_select(env)].duration == 2
 
 
 def test_tetris_void_on_empty_queue():
     assert tetris_select(queue_env([])) == 0
 
 
-def tetris_oracle(env, lam_short=0.05):
+def tetris_oracle(env, lam_short):
     """The float64 numpy scoring `tetris_select` replaced, kept as its oracle."""
     free = env.image.free_counts()[0].astype(np.float64)
     free_norm = float(np.linalg.norm(free))
@@ -108,7 +106,7 @@ def tetris_oracle(env, lam_short=0.05):
     return 0 if best is None else best + 1
 
 
-def test_tetris_matches_numpy_score_oracle():
+def test_tetris_matches_numpy_score_oracle(monkeypatch):
     """Same action as the float64 oracle on seeded random states with 1-3
     resources, capacities up to 64, and slots holding equal jobs, so that
     scores tie exactly and the lowest-slot rule decides."""
@@ -134,17 +132,18 @@ def test_tetris_matches_numpy_score_oracle():
             jobs.append(Job(i, int(rng.integers(0, 6)), duration, demand))
         env = ClusterEnv(cfg)
         for lam_short in (0.05, 0.0):
+            monkeypatch.setattr(baselines, "LAM_SHORT", lam_short)
             env.reset(jobs)
             while not env.is_done():
                 expected = tetris_oracle(env, lam_short)
-                assert tetris_select(env, lam_short) == expected
+                assert tetris_select(env) == expected
                 checked += 1
                 fitting = [(j.duration, j.demand) for j in env.queue
                            if j is not None and env.image.fits_at(j, 0)]
                 ties += len(set(fitting)) < len(fitting)
                 # random moves reach more varied rows than the policy alone
                 env.step(expected if rng.random() < 0.5
-                         else int(rng.integers(0, cfg.queue_slots + 1)))
+                         else int(rng.integers(cfg.num_actions)))
     assert checked > 1000 and ties > 100
 
 

@@ -67,7 +67,7 @@ def test_update_calls_n_step_returns_once_per_segment(monkeypatch):
 def test_greedy_a2c_policy_acts_through_agent_act(monkeypatch):
     cfg = EnvConfig()
     env = ClusterEnv(cfg).reset([Job(0, 0, 2, (1, 1))])
-    agent = ActorCriticAgent(env.observation_shape(), cfg.queue_slots + 1,
+    agent = ActorCriticAgent(env.observation_shape(), cfg.num_actions,
                              config=AgentConfig(architecture="fc"), seed=0)
     policy = make_policy("a2c", agent=agent)
     calls = []

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -294,6 +295,55 @@ def test_missing_results_dir_fails_cleanly(tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip())
     assert "error" in payload
+
+
+def _json_error(capsys) -> dict:
+    """The one JSON error line a failed command prints to stderr."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def _drop_first_weight(path):
+    with np.load(path) as data:
+        arrays = dict(data)
+    del arrays[next(k for k in arrays if k.startswith("w"))]
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda p: p.write_text("not a checkpoint\n"),
+    lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+    _drop_first_weight,
+], ids=["text", "truncated", "missing-array"])
+def test_corrupt_checkpoint_fails_with_json_error(tmp_path, config_path, capsys,
+                                                  corrupt):
+    out = tmp_path / "run"
+    assert main(["train", "--config", config_path, "--out", str(out),
+                 "--episodes", "1"]) == 0
+    checkpoint = json.loads(capsys.readouterr().out)["checkpoint"]
+    actor = Path(checkpoint) / "actor.npz"
+    corrupt(actor)
+    code = main(["evaluate", "--config", config_path, "--policy", "a2c",
+                 "--checkpoint", checkpoint, "--episodes", "1"])
+    assert code == 1
+    payload = _json_error(capsys)
+    assert payload["error"] == "ConfigError"
+    assert str(actor) in payload["message"]
+
+
+def test_overflowing_weights_fail_with_json_error(tmp_path, capsys):
+    """An actor step large enough to overflow the weights turns the next
+    policy into NaN; training stops with TrainingDiverged, not a raw
+    ValueError from sampling."""
+    path = tmp_path / "config.yaml"
+    path.write_text("agent: {lr_actor: 1.0e+15, architecture: fc}\n"
+                    "train: {episodes: 5}\n")
+    code = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    payload = _json_error(capsys)
+    assert payload["error"] == "TrainingDiverged"
+    assert payload["message"].startswith("episode ")
 
 
 def test_version_flag(capsys):

@@ -124,7 +124,7 @@ def test_fitting_jobs_returns_only_jobs_that_fit_now():
     env.step(1)
     assert env.queue[0] is None
     assert env.image.earliest_offset(env.queue[1]) == 3
-    assert [(i, j.id) for i, j in env.fitting_jobs()] == [(2, 2)]
+    assert [(a, j.id) for a, j in env.fitting_jobs()] == [(3, 2)]
 
 
 # -- step -----------------------------------------------------------------------
@@ -353,7 +353,7 @@ def test_encoding_decodes_to_free_counts():
     for _ in range(30):
         if env.is_done():
             break
-        env.step(int(rng.integers(0, cfg.queue_slots + 1)))
+        env.step(int(rng.integers(cfg.num_actions)))
         obs = env.encode_state()
         free = env.image.free_counts()
         for r in range(2):
@@ -475,6 +475,36 @@ def test_invariants_under_random_actions():
         env, lambda s: dataclasses.replace(spec, seed=s), steps=3000, seed=123
     )
     assert executed == 3000
+
+
+def test_fitting_jobs_actions_start_their_jobs_now():
+    """Stepping an action that fitting_jobs() lists starts its job at the
+    current clock, as a valid action that lets no time pass."""
+    import dataclasses
+    from invariants import random_stress
+    from rlsched.workload import WorkloadSpec
+
+    taken = []
+
+    def take_a_fitting_action(env, rng):
+        fitting = env.fitting_jobs()
+        if not fitting:
+            return
+        action, job = fitting[int(rng.integers(len(fitting)))]
+        clock = env.clock
+        outcome = env.step(action)
+        assert job.started_at == clock
+        assert env.clock == clock
+        assert outcome.info["invalid_action"] is False
+        assert job in env.running
+        taken.append(action)
+
+    spec = WorkloadSpec(rate=0.7, length=40)
+    random_stress(ClusterEnv(EnvConfig(episode_limit=300)),
+                  lambda s: dataclasses.replace(spec, seed=s), steps=2000,
+                  seed=321, visit=take_a_fitting_action)
+    # every slot's action is exercised, not only the first
+    assert set(taken) == set(range(1, EnvConfig().num_actions))
 
 
 def test_trajectory_determinism_bit_exact():
