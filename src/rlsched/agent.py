@@ -346,15 +346,18 @@ def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
     records: list[EpisodeRecord] = []
     writer = _LogWriter(log_path) if log_path else None
     try:
-        for episode in range(episodes):
-            jobs = sequences[episode % len(sequences)]
-            try:
-                record = run_episode(env, agent, jobs, episode)
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(str(exc), episode=episode) from exc
-            records.append(record)
-            if writer:
-                writer.write(record)
+        # a diverging run overflows; the finiteness checks in policy() and
+        # update() report it as TrainingDiverged, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for episode in range(episodes):
+                jobs = sequences[episode % len(sequences)]
+                try:
+                    record = run_episode(env, agent, jobs, episode)
+                except TrainingDiverged as exc:
+                    raise TrainingDiverged(str(exc), episode=episode) from exc
+                records.append(record)
+                if writer:
+                    writer.write(record)
         if checkpoint_dir:
             agent.save(checkpoint_dir)
     finally:

@@ -11,12 +11,30 @@ takes the first maximum in row-major window order (top-left, top-right,
 bottom-left, bottom-right), a NaN counting as the maximum, and sends the
 window's gradient to that cell alone.
 
-Each network keeps its batch-sized intermediates in buffers it reuses: the
-im2col patches and output of a convolution, a flatten copy, and a dense
-layer's input gradient. A buffer grows to the largest batch seen; a smaller
-batch uses a leading slice. Hence the contract:
+A convolution is one gemm over a channel-major im2col: a (c*9 + 1,
+batch*h*w) matrix whose row (c, i, j) holds every pixel's (i, j) neighbour in
+channel c, in (n, y, x) order, and whose last row is ones. [w | b] @ cols
+writes the output as (f, batch, h, w), and the layer hands it on as a
+(batch, f, h, w) view, C-contiguous at batch 1: the in-place ReLU and the
+max-pool read contiguous memory, and a flatten after it is a view. Folding
+the bias in keeps the bits of a row-major patches @ w.T + b: it is the same
+dot product per output, and the bias is the last term the gemm adds, as the
+separate + b added it last (tests/test_nn.py checks this bit for bit against
+a fresh-array oracle, at the default state image's shape too). A
+convolution caches its input, and backward rebuilds from it the row-major
+(batch*h*w, c*9) patches, in the buffer that held the columns, and copies
+the output gradient to NHWC (batch*h*w, f): the layouts of a fresh im2col,
+so dw and db keep their bits as well.
+
+Each network keeps its batch-sized intermediates in buffers it reuses, one
+flat array per (role, layer): a convolution's im2col (columns in forward,
+patches in backward) and output, a flatten copy, and a dense layer's input
+gradient. A buffer grows to the largest size asked for, and a batch uses a
+reshaped leading slice, so the memory held does not grow with the number of
+batch sizes seen. Hence the contract:
 - the caches of a forward are valid until that network's next forward, and
-  serve one backward (which overwrites a convolution's output buffer);
+  serve one backward (which overwrites a convolution's buffers); they may
+  hold the input itself, which must not change in between;
 - arrays returned by forward and backward belong to the caller: no later
   call on the network changes them;
 - backward builds the gradient w.r.t. the input only when asked
@@ -27,9 +45,11 @@ so every matmul and sum gives the same bits with or without the buffers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ConfigError, ShapeError
 
@@ -74,6 +94,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _windows(x):
+    """The zero-padded 3x3 window around every pixel of x (batch, C, H, W),
+    as a read-only (batch, C, H, W, 3, 3) strided view of a padded copy."""
+    batch, c, h, wd = x.shape
+    padded = np.zeros((batch, c, h + 2, wd + 2), dtype=x.dtype)
+    padded[:, :, 1 : h + 1, 1 : wd + 1] = x
+    sn, sc, sy, sx = padded.strides
+    return as_strided(padded, (batch, c, h, wd, 3, 3), (sn, sc, sy, sx, sy, sx),
+                      writeable=False)
 
 
 def _corners(x):
@@ -158,13 +189,15 @@ class Network:
 
     # -- forward / backward ----------------------------------------------------
 
-    def _buffer(self, key, batch: int, shape) -> np.ndarray:
-        """A C-contiguous (batch, *shape) leading slice of this network's
-        buffer for key, which grows to the largest batch seen."""
+    def _buffer(self, key, shape) -> np.ndarray:
+        """A C-contiguous array of the given shape: a reshaped leading slice
+        of this network's one flat buffer for key, which grows to the largest
+        size asked for."""
+        size = math.prod(shape)
         buf = self._buffers.get(key)
-        if buf is None or len(buf) < batch:
-            buf = self._buffers[key] = np.empty((batch, *shape), dtype=self.dtype)
-        return buf[:batch]
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size, dtype=self.dtype)
+        return buf[:size].reshape(shape)
 
     def _reshape(self, x, shape, key):
         """(x reshaped, whether it was copied): a view where numpy can make
@@ -176,7 +209,7 @@ class Network:
         try:
             return x.reshape(shape, copy=False), False
         except ValueError:
-            buf = self._buffer(key, len(x), x.shape[1:])
+            buf = self._buffer(key, x.shape)
             np.copyto(buf, x)
             return buf.reshape(shape), True
 
@@ -244,7 +277,7 @@ class Network:
                 w = self.params[i][0]
                 grads[i] = (grad.T @ x, grad.sum(axis=0))
                 if i > first:
-                    dx = self._buffer(("dgrad", i), len(grad), w.shape[1:])
+                    dx = self._buffer(("dgrad", i), (len(grad), w.shape[1]))
                     grad = np.matmul(grad, w, out=dx)
                 elif input_grad:
                     # fresh, so the returned input gradient is the caller's
@@ -254,27 +287,32 @@ class Network:
     def _conv_forward(self, i, x, w, b):
         batch, c, h, wd = x.shape
         f = w.shape[0]
-        padded = np.zeros((batch, c, h + 2, wd + 2), dtype=x.dtype)
-        padded[:, :, 1 : h + 1, 1 : wd + 1] = x
-        # im2col: patch row (n, y, x) holds the 3x3 window at (y, x) of every
-        # channel, in (c, i, j) order
-        patches = self._buffer(("patches", i), batch, (h, wd, c, 3, 3))
+        # channel-major im2col: row (c, i, j) holds, for every pixel (n, y, x)
+        # in order, padded[n, c, y + i, x + j]; a last row of ones carries
+        # the bias, which the gemm then adds last
+        cols = self._buffer(("im2col", i), (c * 9 + 1, batch * h * wd))
+        np.copyto(cols[:-1].reshape(c, 3, 3, batch, h, wd),
+                  _windows(x).transpose(1, 4, 5, 0, 2, 3))
+        cols[-1] = 1.0
+        wb = np.concatenate((w.reshape(f, c * 9), b[:, None]), axis=1)
+        out = np.matmul(wb, cols,
+                        out=self._buffer(("conv", i), (f, batch * h * wd)))
+        return out.reshape(f, batch, h, wd).transpose(1, 0, 2, 3), x
+
+    def _conv_backward(self, i, grad, x, w, input_grad):
+        batch, c, h, wd = x.shape
+        f = w.shape[0]
+        # the row-major patches and the NHWC gradient of a fresh im2col, so
+        # that dw and db keep their bits; the patches go in the buffer that
+        # held the columns, the NHWC copy in the layer's output buffer, both
+        # dead by now
+        windows = _windows(x)
+        patches = self._buffer(("im2col", i), (batch, h, wd, c, 3, 3))
+        # one copy per window offset: its rows run along x on both sides
         for di in range(3):
             for dj in range(3):
-                patches[..., di, dj] = padded[:, :, di : di + h,
-                                              dj : dj + wd].transpose(0, 2, 3, 1)
+                patches[..., di, dj] = windows[..., di, dj].transpose(0, 2, 3, 1)
         patches = patches.reshape(batch * h * wd, c * 9)
-        out = self._buffer(("conv", i), batch, (h, wd, f))
-        out_m = out.reshape(batch * h * wd, f)
-        np.matmul(patches, w.reshape(f, c * 9).T, out=out_m)
-        out_m += b
-        return out.transpose(0, 3, 1, 2), (patches, x.shape)
-
-    def _conv_backward(self, i, grad, cache, w, input_grad):
-        patches, x_shape = cache
-        batch, c, h, wd = x_shape
-        f = w.shape[0]
-        # an NHWC copy goes in the layer's output buffer, dead by now
         grad_m, _ = self._reshape(grad.transpose(0, 2, 3, 1),
                                   (batch * h * wd, f), ("conv", i))
         dw = (grad_m.T @ patches).reshape(f, c, 3, 3)
@@ -291,10 +329,22 @@ class Network:
         return (dw, db), dpadded[:, :, 1 : h + 1, 1 : wd + 1]
 
     def _pool_forward(self, x):
-        # max of the four corners; maximum() keeps its second argument on a
-        # tie, so nesting the earlier corners second keeps the first maximum
-        c0, c1, c2, c3 = _corners(x)
-        out = np.maximum(np.maximum(c3, c2), np.maximum(c1, c0))
+        batch, c, h, wd = x.shape
+        h2, w2 = h // 2, wd // 2
+        # every cell against its right neighbour, over each image as one
+        # contiguous run (reshape copies an image whose rows are not one
+        # run); maximum() keeps its second argument on a tie, so the left
+        # cell wins. A row's last cell meets the next row's first, and no
+        # window reads that pair. pairs is a temporary: kept as a buffer it
+        # would hold a convolution output's size for good.
+        flat = x.reshape(batch, c, h * wd)
+        pairs = np.empty((batch, c, h * wd), dtype=self.dtype)
+        np.maximum(flat[..., 1:], flat[..., :-1], out=pairs[..., :-1])
+        # then each window's bottom pair against its top pair, the top one
+        # winning a tie: the first maximum in row-major order
+        rows = pairs.reshape(batch, c, h, wd)
+        out = np.maximum(rows[:, :, 1 : 2 * h2 : 2, 0 : 2 * w2 : 2],
+                         rows[:, :, 0 : 2 * h2 : 2, 0 : 2 * w2 : 2])
         return out, (x, out)
 
     def _pool_backward(self, grad, x, out):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -334,16 +335,22 @@ def test_corrupt_checkpoint_fails_with_json_error(tmp_path, config_path, capsys,
 
 def test_overflowing_weights_fail_with_json_error(tmp_path, capsys):
     """An actor step large enough to overflow the weights turns the next
-    policy into NaN; training stops with TrainingDiverged, not a raw
-    ValueError from sampling."""
-    path = tmp_path / "config.yaml"
-    path.write_text("agent: {lr_actor: 1.0e+15, architecture: fc}\n"
-                    "train: {episodes: 5}\n")
-    code = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert code == 1
-    payload = _json_error(capsys)
-    assert payload["error"] == "TrainingDiverged"
-    assert payload["message"].startswith("episode ")
+    policy into NaN, and a critic step that large overflows the losses;
+    either way training stops with TrainingDiverged, not a raw ValueError
+    from sampling, and numpy warns of nothing on the way."""
+    for name, lr in (("lr_actor", "1.0e+15"), ("lr_critic", "1.0e+30")):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(f"agent: {{{name}: {lr}, architecture: fc}}\n"
+                        "train: {episodes: 5}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", str(path),
+                         "--out", str(tmp_path / name)])
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        payload = _json_error(capsys)
+        assert payload["error"] == "TrainingDiverged"
+        assert payload["message"].startswith("episode ")
 
 
 def test_version_flag(capsys):

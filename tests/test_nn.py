@@ -308,20 +308,32 @@ def chain_oracle(net, x, grad_out):
 ORACLE_CHAINS = {
     "conv16": [conv3(16, activation="relu"), flatten(), dense(6)],
     "conv16_pool": [conv3(16, activation="relu"), maxpool2(), flatten(), dense(6)],
+    "conv32_pool": [conv3(32, activation="relu"), maxpool2(), flatten(), dense(6)],
     "fc": [flatten(), dense(24, activation="relu"), dense(1)],
 }
 
+# the default cluster's encode_state image, which holds only 0s and 1s
+STATE_SHAPE = (1, 20, 123)
 
-@pytest.mark.parametrize("arch", sorted(ORACLE_CHAINS))
-def test_chain_matches_fresh_array_oracle_bit_for_bit(arch):
-    shape = (1, 7, 9)
+ORACLE_CASES = (
+    [pytest.param(arch, (1, 7, 9), id=arch) for arch in sorted(ORACLE_CHAINS)]
+    + [pytest.param(arch, STATE_SHAPE, id=f"{arch}-state")
+       for arch in sorted(ORACLE_CHAINS)]
+)
+
+
+@pytest.mark.parametrize("arch, shape", ORACLE_CASES)
+def test_chain_matches_fresh_array_oracle_bit_for_bit(arch, shape):
     net = Network(ORACLE_CHAINS[arch], input_shape=shape, seed=3, init_scale=0.5)
     rng = np.random.default_rng(11)
     # one network over changing batch sizes: a stale or wrongly sliced
     # buffer shows as a mismatch
     for step, batch in enumerate((6, 1, 5, 6, 2)):
-        x = rng.standard_normal((batch,) + shape).astype(np.float32)
-        x[rng.random(x.shape) < 0.3] = 0.0  # exact zeros, as in a state image
+        if shape == STATE_SHAPE:
+            x = (rng.random((batch,) + shape) < 0.3).astype(np.float32)
+        else:
+            x = rng.standard_normal((batch,) + shape).astype(np.float32)
+            x[rng.random(x.shape) < 0.3] = 0.0  # exact zeros, as in a state image
         input_grad = step % 2 == 1
         out, caches = net.forward(x)
         grad_out = rng.standard_normal(out.shape)
@@ -337,6 +349,23 @@ def test_chain_matches_fresh_array_oracle_bit_for_bit(arch):
             assert_same_bits(dx, want_dx)
         else:
             assert dx is None
+
+
+@pytest.mark.parametrize("arch", ["conv16", "conv32_pool"])
+def test_buffers_do_not_grow_with_batch_sizes_seen(arch):
+    """A buffer serves every batch size from one flat array: after batches
+    6, 1, 5 and 2 the network holds as many buffer bytes as after 6 alone."""
+    net = Network(ORACLE_CHAINS[arch], input_shape=STATE_SHAPE, seed=3)
+    rng = np.random.default_rng(4)
+
+    def step(batch):
+        x = (rng.random((batch,) + STATE_SHAPE) < 0.3).astype(np.float32)
+        out, caches = net.forward(x)
+        net.backward(caches, rng.standard_normal(out.shape))
+        return sum(buf.nbytes for buf in net._buffers.values())
+
+    after_six = step(6)
+    assert [step(batch) for batch in (1, 5, 2)] == [after_six] * 3
 
 
 @pytest.mark.parametrize("layers", [
