@@ -9,7 +9,6 @@ terminal successor state always bootstraps as zero.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 from .config import EnvConfig, check_seed
 from .env import ClusterEnv
 from .errors import ConfigError, TrainingDiverged
-from .metrics import episode_report, format_cell
+from .metrics import episode_report, write_csv
 from .nn import Network, conv3, dense, flatten, maxpool2, softmax
 from .nn.checkpoint import load_params, save_params
 
@@ -176,16 +175,15 @@ class ActorCriticAgent:
             raise ValueError("segment must be non-empty")
         cfg = self.config
         length = len(segment)
-        states = np.stack([tr.state for tr in segment])[:, None, :, :]
+        # the segment's states and then the final bootstrap state: one batched
+        # critic pass covers every value the targets need, n_step_returns
+        # reads them back through an identity-keyed lookup, and the actor
+        # reads the first `length` rows
+        states = np.stack(
+            [tr.state for tr in segment] + [segment[-1].next_state]
+        )[:, None, :, :]
         actions = np.array([tr.action for tr in segment])
-
-        # One batched critic pass covers every value the targets need (all
-        # segment states plus the final bootstrap state); n_step_returns then
-        # reads them back through an identity-keyed lookup.
-        all_states = np.concatenate(
-            [states, self._batch(segment[-1].next_state)], axis=0
-        )
-        v_out, v_caches = self.critic.forward(all_states)
+        v_out, v_caches = self.critic.forward(states)
         values = v_out[:, 0].astype(np.float64)
         lookup = {id(tr.state): values[t] for t, tr in enumerate(segment)}
         lookup[id(segment[-1].next_state)] = values[length]
@@ -198,7 +196,7 @@ class ActorCriticAgent:
         dv[:length, 0] = 2.0 * (values[:length] - targets)
         critic_grads, _ = self.critic.backward(v_caches, dv)
 
-        logits, a_caches = self.actor.forward(states)
+        logits, a_caches = self.actor.forward(states[:length])
         probs = softmax(logits)
         # floor keeps 0 * log(0) at 0 when the policy saturates
         log_probs = np.log(np.maximum(probs, 1e-300))
@@ -272,25 +270,6 @@ class EpisodeRecord:
 TRAINING_LOG_COLUMNS = [f.name for f in dataclasses.fields(EpisodeRecord)]
 
 
-class _LogWriter:
-    """Append-only CSV training log, one row per episode."""
-
-    def __init__(self, path):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        self.fh = open(path, "w", newline="")
-        self.writer = csv.writer(self.fh)
-        self.writer.writerow(TRAINING_LOG_COLUMNS)
-
-    def write(self, record: EpisodeRecord) -> None:
-        self.writer.writerow(
-            [format_cell(getattr(record, name)) for name in TRAINING_LOG_COLUMNS]
-        )
-        self.fh.flush()
-
-    def close(self) -> None:
-        self.fh.close()
-
-
 def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs,
                 episode: int) -> EpisodeRecord:
     """Roll one training episode, updating both networks every n_steps and
@@ -344,23 +323,26 @@ def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
     agent = ActorCriticAgent(env.observation_shape(), env_config.num_actions,
                              config=agent_config, seed=seed)
     records: list[EpisodeRecord] = []
-    writer = _LogWriter(log_path) if log_path else None
-    try:
-        # a diverging run overflows; the finiteness checks in policy() and
-        # update() report it as TrainingDiverged, without numpy's warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            for episode in range(episodes):
-                jobs = sequences[episode % len(sequences)]
-                try:
-                    record = run_episode(env, agent, jobs, episode)
-                except TrainingDiverged as exc:
-                    raise TrainingDiverged(str(exc), episode=episode) from exc
-                records.append(record)
-                if writer:
-                    writer.write(record)
-        if checkpoint_dir:
-            agent.save(checkpoint_dir)
-    finally:
-        if writer:
-            writer.close()
+
+    def rows():
+        for episode in range(episodes):
+            jobs = sequences[episode % len(sequences)]
+            try:
+                record = run_episode(env, agent, jobs, episode)
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(str(exc), episode=episode) from exc
+            records.append(record)
+            yield dataclasses.asdict(record)
+
+    # a diverging run overflows; the finiteness checks in policy() and
+    # update() report it as TrainingDiverged, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if log_path:
+            Path(log_path).parent.mkdir(parents=True, exist_ok=True)
+            write_csv(log_path, TRAINING_LOG_COLUMNS, rows())
+        else:
+            for _ in rows():
+                pass
+    if checkpoint_dir:
+        agent.save(checkpoint_dir)
     return records, agent

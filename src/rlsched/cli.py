@@ -1,7 +1,8 @@
 """Command-line interface: train, evaluate, sweep, plot-data.
 
-All defaults live in one YAML config file (see configs/default.yaml); CLI
-flags override config values and are checked as the file's values are. Any
+The defaults live in the config dataclasses; a YAML config file
+(configs/default.yaml lists every key) overrides them, and CLI flags
+override config values and are checked as the file's values are. Any
 failure, a malformed command line included, exits 1 after printing a single
 machine-readable JSON error line to stderr.
 """
@@ -27,8 +28,8 @@ from .experiment import (
     run_cell,
     run_experiment,
     summarize,
-    write_csv,
 )
+from .metrics import write_csv
 from .workload import WorkloadSpec, derived_seed, generate
 
 # `evaluate --out` writes the sweep's episode columns without the cell keys

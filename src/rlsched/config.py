@@ -139,8 +139,10 @@ def from_section(cls, raw, section: str, **overrides):
 
 
 def read_yaml(path: str | Path):
-    """Parse a YAML file; a syntax error becomes a ConfigError naming the file."""
-    with open(path) as fh:
+    """Parse a YAML file; a syntax error or bytes that are not text become a
+    ConfigError naming the file. The file is read as bytes, so PyYAML
+    detects the encoding and reports a bad byte as a YAMLError."""
+    with open(path, "rb") as fh:
         try:
             return yaml.safe_load(fh)
         except yaml.YAMLError as exc:

@@ -23,7 +23,8 @@ class SpecError(RlschedError):
 
 
 class ParseError(RlschedError):
-    """Trace file could not be parsed; carries the offending line number."""
+    """A CSV input (a job trace, a results file) could not be parsed;
+    carries the offending line number."""
 
     def __init__(self, message, line=None):
         self.line = line

@@ -8,7 +8,6 @@ face identical workloads, which keeps cross-policy comparisons paired.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import itertools
@@ -24,7 +23,7 @@ from .baselines import POLICY_KINDS, make_policy, run_greedy
 from .config import EnvConfig, check_seed
 from .env import ClusterEnv
 from .errors import ConfigError
-from .metrics import EpisodeReport, format_cell
+from .metrics import EpisodeReport, format_cell, read_csv, write_csv
 from .workload import WorkloadSpec, derived_seed, generate, validate_spec
 
 EPISODE_COLUMNS = ("policy", "job_rate", "seed", "episode") + tuple(
@@ -58,8 +57,15 @@ class ExperimentSpec:
             raise ConfigError(f"unknown policies {unknown}; pick from {POLICY_KINDS}")
         if "a2c" in self.policies and not self.checkpoint:
             raise ConfigError("a2c policy requires a checkpoint path")
+        for name in ("policies", "job_rates", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats a value: {list(values)}")
         if self.episodes < 0:
             raise ConfigError("episodes must be >= 0")
+        if self.summary_window < 0:
+            raise ConfigError("summary_window must be >= 0 (0 averages every "
+                              f"episode), got {self.summary_window}")
         for seed in self.seeds:
             check_seed(seed)
         for rate in self.job_rates:
@@ -176,53 +182,48 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path):
     return episode_rows, summary_rows
 
 
-def write_csv(path: Path, columns, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_cell(row.get(c)) for c in columns])
-
-
 # -- plot-ready series ----------------------------------------------------------
+
+
+def _episode_point(record: dict) -> dict:
+    """The columns of one episodes.csv record that the plot series read,
+    typed; a blank metric cell is None."""
+    return {
+        "policy": record["policy"],
+        "job_rate": float(record["job_rate"]),
+        "episode": int(record["episode"]),
+        **{m: None if record[m] == "" else float(record[m])
+           for m in SUMMARY_METRICS},
+    }
 
 
 def emit_plot_series(results_dir: str | Path, out_dir: str | Path,
                      smooth: int = 0) -> list[Path]:
     """One series file per (metric, policy, job rate): episode index vs the
-    seed-averaged metric, optionally smoothed with a trailing window."""
-    results_dir = Path(results_dir)
+    seed-averaged metric, optionally smoothed with a trailing window. A
+    malformed episodes.csv is a ParseError."""
+    rows = read_csv(Path(results_dir) / "episodes.csv",
+                    ("policy", "job_rate", "episode", *SUMMARY_METRICS),
+                    _episode_point)
     out_dir = Path(out_dir)
-    with open(results_dir / "episodes.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-
-    rates = sorted({r["job_rate"] for r in rows}, key=float)
-    policies = sorted({r["policy"] for r in rows})
     written = []
-    for rate in rates:
-        rate_dir = out_dir / f"rate_{rate}"
+    for rate, policy in sorted({(r["job_rate"], r["policy"]) for r in rows}):
+        subset = [r for r in rows if (r["job_rate"], r["policy"]) == (rate, policy)]
+        rate_dir = out_dir / f"rate_{format_cell(rate)}"
         rate_dir.mkdir(parents=True, exist_ok=True)
-        for policy in policies:
-            subset = [r for r in rows if r["job_rate"] == rate
-                      and r["policy"] == policy]
-            if not subset:
-                continue
-            for metric in SUMMARY_METRICS:
-                by_episode: dict[int, list[float]] = {}
-                for r in subset:
-                    if r[metric] == "":
-                        continue
-                    by_episode.setdefault(int(r["episode"]), []).append(
-                        float(r[metric])
-                    )
-                episodes = sorted(by_episode)
-                values = [float(np.mean(by_episode[e])) for e in episodes]
-                values = _smooth(values, smooth)
-                path = rate_dir / f"series_{metric}__{policy}.csv"
-                write_csv(path, ("episode", "value"),
-                          [{"episode": e, "value": v}
-                           for e, v in zip(episodes, values)])
-                written.append(path)
+        for metric in SUMMARY_METRICS:
+            by_episode: dict[int, list[float]] = {}
+            for r in subset:
+                if r[metric] is not None:
+                    by_episode.setdefault(r["episode"], []).append(r[metric])
+            episodes = sorted(by_episode)
+            values = [float(np.mean(by_episode[e])) for e in episodes]
+            values = _smooth(values, smooth)
+            path = rate_dir / f"series_{metric}__{policy}.csv"
+            write_csv(path, ("episode", "value"),
+                      [{"episode": e, "value": v}
+                       for e, v in zip(episodes, values)])
+            written.append(path)
     return written
 
 

@@ -1,15 +1,21 @@
-"""Per-job and per-episode scheduling metrics.
+"""Per-job and per-episode scheduling metrics, and the one CSV format that
+rlsched writes and reads.
 
 Slowdown is completion time over execution time (1.0 = the job never
 waited); averages are taken over completed jobs only, and an empty set
 reports absent values rather than faking zeros.
+
+The training log, the sweep results, the plot series and job traces are
+all written by `write_csv` (cells through `format_cell`) and read by
+`read_csv`, which reports a malformed file as a ParseError with its line.
 """
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
-from .errors import IncompleteJob, NotStarted
+from .errors import IncompleteJob, NotStarted, ParseError
 
 
 def slowdown(job) -> float:
@@ -55,6 +61,41 @@ def format_cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.10g}"
     return str(value)
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a new CSV file at `path`: the header `columns`, then one line
+    per mapping in `rows`, each cell `format_cell(row[column])`. Each line
+    is flushed once written, and `rows` may be a generator, so a run that
+    stops part way keeps the lines it wrote."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([format_cell(row[c]) for c in columns])
+            fh.flush()
+
+
+def read_csv(path, columns, parse) -> list:
+    """`parse(record)` of each record of the CSV file at `path`, where a
+    record maps the header's column names to the cells of one line. A file
+    without a header, or whose header lacks one of `columns`, is a
+    ParseError at line 1; a ValueError or TypeError from `parse` is a
+    ParseError at the record's line."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ParseError("empty file, expected a header row", line=1)
+        missing = [c for c in columns if c not in reader.fieldnames]
+        if missing:
+            raise ParseError(f"missing columns {missing}", line=1)
+        parsed = []
+        for record in reader:
+            try:
+                parsed.append(parse(record))
+            except (TypeError, ValueError) as exc:
+                raise ParseError(str(exc), line=reader.line_num) from exc
+        return parsed
 
 
 def discounted_total(rewards, gamma: float) -> float:

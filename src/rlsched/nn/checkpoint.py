@@ -35,7 +35,7 @@ def load_params(net, path: str | Path) -> None:
     """Load a checkpoint into `net` in place. A file that does not read as a
     parameter archive with the arrays `net` needs is a ConfigError."""
     try:
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
             if meta.get("format") != FORMAT_VERSION:
                 raise ConfigError(f"{path}: unsupported format {meta.get('format')}")
@@ -44,11 +44,13 @@ def load_params(net, path: str | Path) -> None:
                     f"{path}: checkpoint architecture {meta.get('fingerprint')!r} "
                     f"does not match network {net.fingerprint()!r}"
                 )
-            arrays = {i: (data[f"w{i}"], data[f"b{i}"])
+            arrays = {i: (data[f"w{i}"].astype(net.dtype),
+                          data[f"b{i}"].astype(net.dtype))
                       for i, params in enumerate(net.params) if params is not None}
-    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except (AttributeError, TypeError, KeyError, ValueError, EOFError,
+            zipfile.BadZipFile) as exc:
         raise ConfigError(f"{path}: not a parameter checkpoint ({exc})") from None
     for i, (w, b) in arrays.items():
         if w.shape != net.params[i][0].shape or b.shape != net.params[i][1].shape:
             raise ConfigError(f"{path}: parameter shape mismatch at layer {i}")
-        net.params[i] = (w.astype(net.dtype), b.astype(net.dtype))
+        net.params[i] = (w, b)

@@ -7,7 +7,6 @@ queueing contention at desk scale.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ import numpy as np
 from .config import EnvConfig, check_seed
 from .env import Job, validate_jobs
 from .errors import ConfigError, ParseError, SpecError, ValidationError
+from .metrics import read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -140,30 +140,19 @@ def load_trace(
             f"config has {config.num_resources} resources"
         )
 
-    jobs = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError("empty file, expected a header row", line=1)
-        needed = (mapping.job_id, mapping.arrival, mapping.duration) + tuple(
-            mapping.demand_columns
-        )
-        missing = [c for c in needed if c not in reader.fieldnames]
-        if missing:
-            raise ParseError(f"missing columns {missing}", line=1)
-        for record in reader:
-            line = reader.line_num
-            try:
-                job_id = int(record[mapping.job_id])
-                arrival_steps = float(record[mapping.arrival]) / time_scale
-                duration_steps = float(record[mapping.duration]) / time_scale
-                demand = tuple(int(record[c]) for c in mapping.demand_columns)
-            except (TypeError, ValueError) as exc:
-                raise ParseError(str(exc), line=line) from exc
-            if not (math.isfinite(arrival_steps) and math.isfinite(duration_steps)):
-                raise ParseError("times must be finite numbers of steps", line=line)
-            jobs.append(Job(id=job_id, arrival=math.floor(arrival_steps),
-                            duration=math.ceil(duration_steps), demand=demand))
+    def parse(record) -> Job:
+        job_id = int(record[mapping.job_id])
+        arrival = float(record[mapping.arrival]) / time_scale
+        duration = float(record[mapping.duration]) / time_scale
+        demand = tuple(int(record[c]) for c in mapping.demand_columns)
+        if not (math.isfinite(arrival) and math.isfinite(duration)):
+            raise ValueError("times must be finite numbers of steps")
+        return Job(id=job_id, arrival=math.floor(arrival),
+                   duration=math.ceil(duration), demand=demand)
+
+    needed = (mapping.job_id, mapping.arrival, mapping.duration,
+              *mapping.demand_columns)
+    jobs = read_csv(path, needed, parse)
     validate_jobs(jobs, config)
 
     if jobs:
@@ -185,8 +174,8 @@ def save_trace(jobs, path: str | Path) -> None:
                 f"{len(job.demand)} demands; the canonical layout has {width}",
                 job_id=job.id,
             )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CANONICAL_COLUMNS)
-        for job in jobs:
-            writer.writerow([job.id, job.arrival, job.duration, *job.demand])
+    write_csv(path, CANONICAL_COLUMNS, (
+        dict(zip(CANONICAL_COLUMNS,
+                 (job.id, job.arrival, job.duration, *job.demand)))
+        for job in jobs
+    ))

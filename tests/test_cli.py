@@ -199,6 +199,15 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
         ("sweep", "train: {episodes: abc}\n", "ConfigError", "episodes"),
         ("train", "train: {checkpoint_every: 5}\n", "ConfigError",
          "checkpoint_every"),
+        ("sweep", b"\xff\xfe\x00bad", "ConfigError", "bad.yaml"),
+        ("sweep", b"env:\n  horizon: \xe9\x80\n", "ConfigError", "bad.yaml"),
+        ("sweep", "experiment: {policies: [sjf, sjf]}\n", "ConfigError",
+         "policies"),
+        ("sweep", "experiment: {job_rates: [0.7, 0.7]}\n", "ConfigError",
+         "job_rates"),
+        ("sweep", "experiment: {seeds: [0, 0]}\n", "ConfigError", "seeds"),
+        ("sweep", "experiment: {summary_window: -3}\n", "ConfigError",
+         "summary_window"),
     ],
     ids=["non-integer-env-value", "malformed-yaml", "non-pair-range",
          "non-integer-agent-value", "non-integer-train-value",
@@ -215,12 +224,17 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
          "unread-train-key-evaluate", "unread-train-key-sweep",
          "experiment-sets-env-train", "unread-experiment-value-train",
          "unread-train-value-evaluate", "unread-train-value-sweep",
-         "removed-checkpoint-every"],
+         "removed-checkpoint-every", "utf16-bom-bytes", "non-utf8-bytes",
+         "repeated-policy", "repeated-job-rate", "repeated-seed",
+         "negative-summary-window"],
 )
 def test_malformed_config_value_fails_with_json_error(tmp_path, capsys, command,
                                                       text, error, fragment):
     path = tmp_path / "bad.yaml"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
     if command == "evaluate":
         argv += ["--policy", "sjf"]
@@ -244,6 +258,9 @@ def test_malformed_flag_fails_with_json_error(tmp_path, capsys):
         (["train", "--episodes", "abc", "--out", out], "episodes"),
         (["sweep", "--episodes", "abc", "--out", out], "episodes"),
         (["sweep", "--policies", "sjf,foo", "--out", out], "foo"),
+        (["sweep", "--policies", "sjf,sjf", "--out", out], "policies"),
+        (["sweep", "--rates", "0.7,0.70", "--out", out], "job_rates"),
+        (["sweep", "--seeds", "0,0", "--out", out], "seeds"),
         (["plot-data", "--results", out, "--smooth", "x", "--out", out],
          "smooth"),
         (["train"], "--out"),
@@ -305,6 +322,42 @@ def _json_error(capsys) -> dict:
     return json.loads(lines[0])
 
 
+def _rewrite_csv(path, edit):
+    """Rewrite the CSV file at `path` as `edit(rows)`, rows header first."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(edit(rows))
+
+
+def _drop_job_rate(rows):
+    col = rows[0].index("job_rate")
+    return [row[:col] + row[col + 1:] for row in rows]
+
+
+def _word_episode(rows):
+    rows[2][rows[0].index("episode")] = "one"
+    return rows
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (_drop_job_rate, "line 1: missing columns ['job_rate']"),
+    (_word_episode, "line 3: invalid literal for int()"),
+], ids=["missing-column", "non-integer-episode"])
+def test_malformed_results_fail_plot_data_with_json_error(
+        tmp_path, config_path, capsys, edit, fragment):
+    results = tmp_path / "results"
+    assert main(["sweep", "--config", config_path, "--out", str(results)]) == 0
+    capsys.readouterr()
+    _rewrite_csv(results / "episodes.csv", edit)
+    code = main(["plot-data", "--results", str(results),
+                 "--out", str(tmp_path / "p")])
+    assert code == 1
+    payload = _json_error(capsys)
+    assert payload["error"] == "ParseError"
+    assert payload["message"].startswith(fragment)
+
+
 def _drop_first_weight(path):
     with np.load(path) as data:
         arrays = dict(data)
@@ -312,11 +365,34 @@ def _drop_first_weight(path):
     np.savez(path, **arrays)
 
 
+def _replace_arrays(path, **changes):
+    with np.load(path) as data:
+        arrays = dict(data)
+    np.savez(path, **{**arrays, **changes})
+
+
+def _text_first_weight(path):
+    with np.load(path) as data:
+        name = next(k for k in data if k.startswith("w"))
+        shape = data[name].shape
+    _replace_arrays(path, **{name: np.full(shape, "x")})
+
+
+def _single_array(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda p: p.write_text("not a checkpoint\n"),
     lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
     _drop_first_weight,
-], ids=["text", "truncated", "missing-array"])
+    lambda p: _replace_arrays(p, meta=np.array("[1, 2]")),
+    lambda p: _replace_arrays(p, meta=np.array("5")),
+    _text_first_weight,
+    _single_array,
+], ids=["text", "truncated", "missing-array", "meta-list", "meta-number",
+        "non-numeric-array", "npy-not-npz"])
 def test_corrupt_checkpoint_fails_with_json_error(tmp_path, config_path, capsys,
                                                   corrupt):
     out = tmp_path / "run"
@@ -351,6 +427,23 @@ def test_overflowing_weights_fail_with_json_error(tmp_path, capsys):
         payload = _json_error(capsys)
         assert payload["error"] == "TrainingDiverged"
         assert payload["message"].startswith("episode ")
+
+
+def test_diverged_train_keeps_log_of_finished_episodes(tmp_path, capsys):
+    """Training that diverges part way leaves the log's header and one line
+    for each episode that finished before it."""
+    path = tmp_path / "diverge.yaml"
+    path.write_text("agent: {lr_actor: 1.0e+15, architecture: fc}\n"
+                    "train: {episodes: 5}\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+    payload = _json_error(capsys)
+    assert payload["error"] == "TrainingDiverged"
+    failed = int(payload["message"].split(":")[0].removeprefix("episode "))
+    assert failed >= 1
+    with open(out / "training_log.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["episode"] for row in rows] == [str(e) for e in range(failed)]
 
 
 def test_version_flag(capsys):
