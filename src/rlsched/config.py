@@ -21,11 +21,11 @@ class EnvConfig:
     """Dimensions of the simulated cluster.
 
     horizon: look-ahead window in time steps (rows of the occupancy image)
-    capacities: total units per resource
+    capacities: total units per resource; the entries define the resources,
+        which are known by index (the default two: cpu, memory)
     queue_slots: number of schedulable queue positions
     backlog_size: maximum jobs held in the overflow FIFO
     episode_limit: hard cap on simulated steps per episode
-    resources: resource names, same length as capacities
     """
 
     horizon: int = 20
@@ -33,7 +33,6 @@ class EnvConfig:
     queue_slots: int = 5
     backlog_size: int = 60
     episode_limit: int = 2000
-    resources: tuple[str, ...] = ("cpu", "memory")
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -48,11 +47,6 @@ class EnvConfig:
             raise ConfigError(f"backlog_size must be >= 0, got {self.backlog_size}")
         if self.episode_limit < 1:
             raise ConfigError(f"episode_limit must be >= 1, got {self.episode_limit}")
-        if len(self.resources) != len(self.capacities):
-            raise ConfigError(
-                f"{len(self.resources)} resource names for "
-                f"{len(self.capacities)} capacities"
-            )
 
     @property
     def num_resources(self) -> int:

@@ -76,11 +76,11 @@ def _job_fault(job: Job, config: EnvConfig, seen_ids) -> str | None:
     if len(job.demand) != config.num_resources:
         return (f"demand has {len(job.demand)} components, "
                 f"expected {config.num_resources}")
-    for d, cap, name in zip(job.demand, config.capacities, config.resources):
+    for r, (d, cap) in enumerate(zip(job.demand, config.capacities)):
         if d < 0:
-            return f"negative {name} demand"
+            return f"resource {r} demand {d} is negative"
         if d > cap:
-            return f"{name} demand {d} exceeds capacity {cap}"
+            return f"resource {r} demand {d} exceeds capacity {cap}"
     if not any(job.demand):
         return "demand must be positive somewhere"
 

@@ -62,7 +62,7 @@ class ExperimentSpec:
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} repeats a value: {list(values)}")
         if self.episodes < 0:
-            raise ConfigError("episodes must be >= 0")
+            raise ConfigError(f"episodes must be >= 0, got {self.episodes}")
         if self.summary_window < 0:
             raise ConfigError("summary_window must be >= 0 (0 averages every "
                               f"episode), got {self.summary_window}")

@@ -33,7 +33,9 @@ def save_params(net, path: str | Path) -> None:
 
 def load_params(net, path: str | Path) -> None:
     """Load a checkpoint into `net` in place. A file that does not read as a
-    parameter archive with the arrays `net` needs is a ConfigError."""
+    parameter archive with the real floating-point arrays `net` needs is a
+    ConfigError; casting any other array would drop an imaginary part or read
+    flags as weights."""
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
@@ -44,13 +46,18 @@ def load_params(net, path: str | Path) -> None:
                     f"{path}: checkpoint architecture {meta.get('fingerprint')!r} "
                     f"does not match network {net.fingerprint()!r}"
                 )
-            arrays = {i: (data[f"w{i}"].astype(net.dtype),
-                          data[f"b{i}"].astype(net.dtype))
+            arrays = {i: (data[f"w{i}"], data[f"b{i}"])
                       for i, params in enumerate(net.params) if params is not None}
     except (AttributeError, TypeError, KeyError, ValueError, EOFError,
             zipfile.BadZipFile) as exc:
         raise ConfigError(f"{path}: not a parameter checkpoint ({exc})") from None
     for i, (w, b) in arrays.items():
+        for name, array in ((f"w{i}", w), (f"b{i}", b)):
+            if array.dtype.kind != "f":
+                raise ConfigError(
+                    f"{path}: array {name} is {array.dtype}, not real floating point")
         if w.shape != net.params[i][0].shape or b.shape != net.params[i][1].shape:
             raise ConfigError(f"{path}: parameter shape mismatch at layer {i}")
-        net.params[i] = (w, b)
+    # all arrays are checked before any is loaded: a failed load changes nothing
+    for i, (w, b) in arrays.items():
+        net.params[i] = (w.astype(net.dtype), b.astype(net.dtype))

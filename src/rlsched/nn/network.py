@@ -59,20 +59,19 @@ ACTIVATIONS = ("relu", "none")
 @dataclass(frozen=True)
 class LayerSpec:
     kind: str  # conv3 | maxpool2 | flatten | dense
-    filters: int = 0
-    width: int = 0
+    units: int = 0  # a conv3's filter count, a dense layer's width
     activation: str = "none"
 
     def describe(self) -> str:
         if self.kind == "conv3":
-            return f"conv3x{self.filters}:{self.activation}"
+            return f"conv3x{self.units}:{self.activation}"
         if self.kind == "dense":
-            return f"dense{self.width}:{self.activation}"
+            return f"dense{self.units}:{self.activation}"
         return self.kind
 
 
 def conv3(filters: int, activation: str = "relu") -> LayerSpec:
-    return LayerSpec("conv3", filters=filters, activation=activation)
+    return LayerSpec("conv3", units=filters, activation=activation)
 
 
 def maxpool2() -> LayerSpec:
@@ -84,7 +83,7 @@ def flatten() -> LayerSpec:
 
 
 def dense(width: int, activation: str = "none") -> LayerSpec:
-    return LayerSpec("dense", width=width, activation=activation)
+    return LayerSpec("dense", units=width, activation=activation)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -126,21 +125,20 @@ class Network:
                  dtype=np.float32):
         self.layers = list(layers)
         self.input_shape = tuple(input_shape)
-        self.init_scale = float(init_scale)
         self.dtype = dtype
-        self.shapes = self._chain_shapes()
+        shapes = self._chain_shapes()
         self._buffers: dict[tuple[str, int], np.ndarray] = {}
         rng = np.random.default_rng(seed)
         self.params: list[tuple[np.ndarray, np.ndarray] | None] = []
-        for spec, in_shape in zip(self.layers, [self.input_shape] + self.shapes[:-1]):
+        for spec, in_shape in zip(self.layers, [self.input_shape] + shapes[:-1]):
             if spec.kind == "conv3":
                 c = in_shape[0]
-                w = rng.uniform(-init_scale, init_scale, (spec.filters, c, 3, 3))
-                b = np.zeros(spec.filters)
+                w = rng.uniform(-init_scale, init_scale, (spec.units, c, 3, 3))
+                b = np.zeros(spec.units)
                 self.params.append((w.astype(dtype), b.astype(dtype)))
             elif spec.kind == "dense":
-                w = rng.uniform(-init_scale, init_scale, (spec.width, in_shape[0]))
-                b = np.zeros(spec.width)
+                w = rng.uniform(-init_scale, init_scale, (spec.units, in_shape[0]))
+                b = np.zeros(spec.units)
                 self.params.append((w.astype(dtype), b.astype(dtype)))
             else:
                 self.params.append(None)
@@ -153,30 +151,29 @@ class Network:
         for spec in self.layers:
             if spec.activation not in ACTIVATIONS:
                 raise ConfigError(f"unknown activation {spec.activation!r}")
+            if spec.kind in ("maxpool2", "flatten") and spec.activation != "none":
+                raise ConfigError(
+                    f"{spec.kind} takes no activation, got {spec.activation!r}")
             if spec.kind == "conv3":
                 if len(shape) != 3:
                     raise ConfigError(f"conv3 needs (C, H, W) input, got {shape}")
-                if spec.filters < 1:
-                    raise ConfigError("conv3 needs filters >= 1")
-                shape = (spec.filters, shape[1], shape[2])
+                if spec.units < 1:
+                    raise ConfigError(f"conv3 needs filters >= 1, got {spec.units}")
+                shape = (spec.units, shape[1], shape[2])
             elif spec.kind == "maxpool2":
                 if len(shape) != 3:
                     raise ConfigError(f"maxpool2 needs (C, H, W) input, got {shape}")
                 if shape[1] < 2 or shape[2] < 2:
                     raise ConfigError(f"maxpool2 input too small: {shape}")
-                if spec.activation != "none":
-                    raise ConfigError("maxpool2 takes no activation")
                 shape = (shape[0], shape[1] // 2, shape[2] // 2)
             elif spec.kind == "flatten":
-                if spec.activation != "none":
-                    raise ConfigError("flatten takes no activation")
                 shape = (int(np.prod(shape)),)
             elif spec.kind == "dense":
                 if len(shape) != 1:
                     raise ConfigError(f"dense needs flat input, got {shape}")
-                if spec.width < 1:
-                    raise ConfigError("dense needs width >= 1")
-                shape = (spec.width,)
+                if spec.units < 1:
+                    raise ConfigError(f"dense needs width >= 1, got {spec.units}")
+                shape = (spec.units,)
             else:
                 raise ConfigError(f"unknown layer kind {spec.kind!r}")
             shapes.append(shape)
@@ -394,8 +391,7 @@ class Network:
     def astype(self, dtype) -> "Network":
         """A copy of this network computing in dtype; it shares no array
         with this one."""
-        clone = type(self)(self.layers, self.input_shape,
-                           init_scale=self.init_scale, dtype=dtype)
+        clone = type(self)(self.layers, self.input_shape, dtype=dtype)
         clone.params = [
             None if p is None else (p[0].astype(dtype), p[1].astype(dtype))
             for p in self.params

@@ -56,7 +56,9 @@ def validate_spec(spec: WorkloadSpec, config: EnvConfig) -> None:
     if spec.length < 0:
         raise SpecError(f"length must be >= 0, got {spec.length}")
     if not 0.0 <= spec.small_job_fraction <= 1.0:
-        raise SpecError(f"small_job_fraction must be in [0, 1]")
+        raise SpecError(
+            f"small_job_fraction must be in [0, 1], got {spec.small_job_fraction}"
+        )
     _check_range("small_duration_range", spec.small_duration_range, 1)
     _check_range("large_duration_range", spec.large_duration_range, 1)
     _check_range("dominant_demand_range", spec.dominant_demand_range, 1)
@@ -103,18 +105,20 @@ def generate(spec: WorkloadSpec, config: EnvConfig) -> list[Job]:
 
 # -- trace files ---------------------------------------------------------------
 
-CANONICAL_COLUMNS = ("job_id", "arrival_time", "duration", "cpu_req", "mem_req")
-
-
 @dataclass(frozen=True)
 class TraceMapping:
-    """Names the source columns of a trace file; defaults match the canonical
-    layout. `demand_columns` follows the config's resource order."""
+    """Names the source columns of a trace file; the defaults are the
+    canonical layout. `demand_columns` follows the config's resource order."""
 
     job_id: str = "job_id"
     arrival: str = "arrival_time"
     duration: str = "duration"
     demand_columns: tuple[str, ...] = ("cpu_req", "mem_req")
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """Every column the layout names, in the canonical file order."""
+        return (self.job_id, self.arrival, self.duration, *self.demand_columns)
 
 
 def load_trace(
@@ -150,9 +154,7 @@ def load_trace(
         return Job(id=job_id, arrival=math.floor(arrival),
                    duration=math.ceil(duration), demand=demand)
 
-    needed = (mapping.job_id, mapping.arrival, mapping.duration,
-              *mapping.demand_columns)
-    jobs = read_csv(path, needed, parse)
+    jobs = read_csv(path, mapping.columns, parse)
     validate_jobs(jobs, config)
 
     if jobs:
@@ -164,18 +166,18 @@ def load_trace(
 
 
 def save_trace(jobs, path: str | Path) -> None:
-    """Write jobs in the canonical trace layout (step units, two resources).
+    """Write jobs in the canonical trace layout, `TraceMapping()`, in steps.
     A job with another number of demands fails before the file is opened."""
     jobs = list(jobs)
-    width = len(TraceMapping.demand_columns)
+    layout = TraceMapping()
+    width = len(layout.demand_columns)
     for job in jobs:
         if len(job.demand) != width:
             raise ValidationError(
                 f"{len(job.demand)} demands; the canonical layout has {width}",
                 job_id=job.id,
             )
-    write_csv(path, CANONICAL_COLUMNS, (
-        dict(zip(CANONICAL_COLUMNS,
-                 (job.id, job.arrival, job.duration, *job.demand)))
+    write_csv(path, layout.columns, (
+        dict(zip(layout.columns, (job.id, job.arrival, job.duration, *job.demand)))
         for job in jobs
     ))

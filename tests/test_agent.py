@@ -15,7 +15,7 @@ from rlsched.baselines import make_policy, run_greedy
 from rlsched.config import EnvConfig
 from rlsched.env import ClusterEnv, Job
 from rlsched.errors import ConfigError, TrainingDiverged
-from rlsched.nn import flatten, softmax
+from rlsched.nn import Network, dense, flatten, softmax
 from rlsched.workload import WorkloadSpec, generate
 
 TINY = AgentConfig(gamma=0.9, lr_actor=0.1, lr_critic=0.1, n_steps=1,
@@ -133,6 +133,19 @@ def test_pooled_actor_matches_direct_forward(arch):
         assert np.abs(logits[0] - want).max() <= tol
         action = agent.act(state, mode="greedy")
         assert want[action] >= want.max() - tol
+
+
+# Checkpoints store these strings; a changed one orphans every saved checkpoint.
+@pytest.mark.parametrize("arch, fingerprint", [
+    ("fc", "in=1x20x123;flatten;dense128:relu;dense6:none"),
+    ("conv16", "in=1x20x123;conv3x16:relu;flatten;dense6:none"),
+    ("conv32", "in=1x20x123;conv3x32:relu;flatten;dense6:none"),
+    ("conv16_pool", "in=1x20x123;conv3x16:relu;maxpool2;flatten;dense6:none"),
+    ("conv32_pool", "in=1x20x123;conv3x32:relu;maxpool2;flatten;dense6:none"),
+])
+def test_architecture_fingerprints_are_pinned(arch, fingerprint):
+    net = Network(architecture_chain(arch) + [dense(6)], (1, 20, 123))
+    assert net.fingerprint() == fingerprint
 
 
 def test_unknown_architecture_rejected():
@@ -357,6 +370,23 @@ def test_positive_advantage_increases_action_probability():
     tr = Transition(s, 1, 1.0, grid(0.0, 0.0), done=True)
     agent.update([tr])
     assert agent.policy(s)[1] > before
+
+
+@pytest.mark.parametrize("make, error, fragment", [
+    (lambda: AgentConfig(gamma=1.5), ConfigError, "gamma must be in [0, 1], got 1.5"),
+    (lambda: AgentConfig(gamma=-0.1), ConfigError, "got -0.1"),
+    (lambda: AgentConfig(gamma=float("nan")), ConfigError, "got nan"),
+    (lambda: AgentConfig(n_steps=0), ConfigError, "n_steps must be >= 1, got 0"),
+    (lambda: n_step_returns([], 0.9, lambda s: 0.0, 1), ValueError,
+     "segment must be non-empty"),
+    (lambda: n_step_returns(chain_segment([-1.0], done_last=True), 0.9,
+                            lambda s: 0.0, 0), ValueError, "n must be >= 1, got 0"),
+], ids=["gamma-above-one", "negative-gamma", "nan-gamma", "zero-n-steps",
+        "empty-segment", "zero-n"])
+def test_agent_input_checks_name_the_bad_value(make, error, fragment):
+    with pytest.raises(error) as err:
+        make()
+    assert fragment in str(err.value)
 
 
 def test_update_rejects_empty_segment():

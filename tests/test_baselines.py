@@ -117,8 +117,7 @@ def test_tetris_matches_numpy_score_oracle(monkeypatch):
         caps = tuple(int(c) for c in rng.integers(1, 65, size=num_resources))
         cfg = EnvConfig(horizon=int(rng.integers(4, 16)), capacities=caps,
                         queue_slots=int(rng.integers(2, 7)), backlog_size=10,
-                        episode_limit=200,
-                        resources=tuple(f"r{r}" for r in range(num_resources)))
+                        episode_limit=200)
         jobs = []
         for i in range(int(rng.integers(5, 25))):
             if jobs and rng.random() < 0.5:

@@ -20,7 +20,6 @@ SMALL_CONFIG = {
         "queue_slots": 3,
         "backlog_size": 10,
         "episode_limit": 200,
-        "resources": ["cpu", "memory"],
     },
     "workload": {
         "length": 12,
@@ -120,6 +119,49 @@ def test_evaluate_baseline_without_config(tmp_path, capsys):
     assert payload["avg_slowdown"] is not None
 
 
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_episodes_without_completions_write_blank_averages(tmp_path, capsys):
+    """An episode cut at its first step with no job able to finish (every
+    duration is at least 2) reports no averages: blank cells in every
+    result file, null on stdout, and empty plot series."""
+    path = tmp_path / "config.yaml"
+    path.write_text("env: {episode_limit: 1}\n"
+                    "workload: {small_duration_range: [2, 3]}\n"
+                    "experiment: {policies: [sjf], seeds: [0, 1], episodes: 2}\n")
+    averages = ("avg_slowdown", "avg_completion_time", "avg_waiting_time")
+
+    results = tmp_path / "results"
+    assert main(["sweep", "--config", str(path), "--out", str(results)]) == 0
+    episodes = _csv_rows(results / "episodes.csv")
+    assert len(episodes) == 4
+    assert all(row[m] == "" for row in episodes for m in averages)
+    assert all(row["completed"] == "0" and row["truncated"] == "1"
+               for row in episodes)
+    for row in _csv_rows(results / "summary.csv"):
+        assert all(row[f"{m}_{s}"] == "" for m in averages for s in ("mean", "std"))
+        assert row["discounted_reward_mean"] != ""
+
+    out = tmp_path / "eval.csv"
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(path), "--policy", "sjf",
+                 "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["avg_slowdown"] is None
+    evaluated = _csv_rows(out)
+    assert len(evaluated) == 2
+    assert all(row[m] == "" for row in evaluated for m in averages)
+
+    plots = tmp_path / "plots"
+    assert main(["plot-data", "--results", str(results), "--out", str(plots)]) == 0
+    for metric in averages:
+        series = plots / "rate_0.7" / f"series_{metric}__sjf.csv"
+        assert series.read_text() == "episode,value\n"
+    assert len(_csv_rows(plots / "rate_0.7" / "series_discounted_reward__sjf.csv")) == 2
+
+
 def test_unknown_config_key_fails_with_json_error(tmp_path, capsys):
     bad = dict(SMALL_CONFIG)
     bad["env"] = {**SMALL_CONFIG["env"], "horizons": 8}
@@ -208,6 +250,8 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
         ("sweep", "experiment: {seeds: [0, 0]}\n", "ConfigError", "seeds"),
         ("sweep", "experiment: {summary_window: -3}\n", "ConfigError",
          "summary_window"),
+        ("sweep", "env: {resources: [cpu, memory]}\n", "ConfigError",
+         "resources"),
     ],
     ids=["non-integer-env-value", "malformed-yaml", "non-pair-range",
          "non-integer-agent-value", "non-integer-train-value",
@@ -226,7 +270,7 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
          "unread-train-value-evaluate", "unread-train-value-sweep",
          "removed-checkpoint-every", "utf16-bom-bytes", "non-utf8-bytes",
          "repeated-policy", "repeated-job-rate", "repeated-seed",
-         "negative-summary-window"],
+         "negative-summary-window", "removed-resources"],
 )
 def test_malformed_config_value_fails_with_json_error(tmp_path, capsys, command,
                                                       text, error, fragment):

@@ -28,7 +28,6 @@ def test_defaults_are_consistent():
         {"queue_slots": 0},
         {"backlog_size": -1},
         {"episode_limit": 0},
-        {"resources": ("cpu",)},
     ],
 )
 def test_invalid_configs_rejected(overrides):
@@ -63,7 +62,7 @@ def test_from_section_converts_to_field_types():
     [
         (EnvConfig, {"horizon": 2.5}, "horizon"),
         (EnvConfig, {"horizon": True}, "horizon"),
-        (EnvConfig, {"resources": [1, 2]}, "resources"),
+        (EnvConfig, {"capacities": [10, "x"]}, "capacities"),
         (EnvConfig, {"capacities": "10"}, "capacities"),
         (WorkloadSpec, {"small_duration_range": [1, 2, 3]}, "small_duration_range"),
         (ExperimentSpec, {"workload": {"rate": 0.5}}, "workload"),
@@ -91,7 +90,6 @@ def test_load_from_file(tmp_path):
                 "queue_slots": 4,
                 "backlog_size": 20,
                 "episode_limit": 500,
-                "resources": ["cpu", "memory"],
             }
         )
     )

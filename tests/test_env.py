@@ -68,20 +68,28 @@ def test_reset_rejects_duplicate_ids():
 
 
 @pytest.mark.parametrize(
-    "jobs, bad_id",
+    "jobs, bad_id, fault",
     [
-        ([job(0), job(7, demand=(11, 1))], 7),
-        ([job(3), job(5), job(3)], 3),
-        ([job(-1)], -1),
-        ([job(2), job(4, duration=21)], 4),
+        ([job(0), job(7, demand=(11, 1))], 7,
+         "resource 0 demand 11 exceeds capacity 10"),
+        ([job(3), job(5), job(3)], 3, "duplicate job id"),
+        ([job(-1)], -1, "id must be >= 0"),
+        ([job(2), job(4, duration=21)], 4, "duration 21 exceeds horizon 20"),
+        ([job(0), job(6, arrival=-2)], 6, "arrival must be >= 0"),
+        ([job(8, demand=(1, 1, 1))], 8, "demand has 3 components, expected 2"),
+        ([job(9, demand=(1, -1))], 9, "resource 1 demand -1 is negative"),
+        ([job(1), job(10, demand=(0, 0))], 10, "demand must be positive somewhere"),
     ],
-    ids=["oversized-demand", "duplicate-id", "negative-id", "beyond-horizon"],
+    ids=["oversized-demand", "duplicate-id", "negative-id", "beyond-horizon",
+         "negative-arrival", "wrong-demand-length", "negative-demand",
+         "all-zero-demand"],
 )
-def test_reset_rejection_carries_the_job_id(jobs, bad_id):
+def test_reset_rejection_carries_the_job_id(jobs, bad_id, fault):
     assert issubclass(ValidationError, ConfigError)
     with pytest.raises(ValidationError) as err:
         make_env().reset(jobs)
     assert err.value.job_id == bad_id
+    assert str(err.value) == f"job {bad_id}: {fault}"
 
 
 # -- earliest_offset ------------------------------------------------------------
@@ -370,7 +378,6 @@ def scenarios(draw):
         capacities=capacities,
         queue_slots=draw(st.integers(1, 3)),
         backlog_size=draw(st.integers(0, 4)),
-        resources=tuple(f"r{r}" for r in range(len(capacities))),
     )
     jobs = []
     for i in range(draw(st.integers(1, 10))):

@@ -101,6 +101,11 @@ def test_a2c_policy_requires_checkpoint():
         small_spec(policies=("a2c",))
 
 
+def test_negative_episode_count_rejected():
+    with pytest.raises(ConfigError, match="episodes must be >= 0, got -1"):
+        small_spec(episodes=-1)
+
+
 def test_plot_series_files_and_naming(tmp_path):
     run_experiment(small_spec(), tmp_path / "r")
     files = emit_plot_series(tmp_path / "r", tmp_path / "plots")

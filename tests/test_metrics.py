@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rlsched.env import Job
-from rlsched.errors import IncompleteJob, NotStarted
+from rlsched.errors import IncompleteJob, NotStarted, ParseError
 from rlsched.metrics import (
+    completion_time,
     discounted_total,
     episode_report,
+    read_csv,
     slowdown,
     waiting_time,
 )
@@ -41,6 +43,17 @@ def test_incomplete_and_unstarted_raise():
         slowdown(j)
     with pytest.raises(NotStarted):
         waiting_time(j)
+    with pytest.raises(IncompleteJob, match="job 1 has not finished"):
+        completion_time(j)
+
+
+def test_read_csv_without_header_fails_at_line_one(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ParseError) as err:
+        read_csv(path, ("episode",), dict)
+    assert str(err.value) == "line 1: empty file, expected a header row"
+    assert err.value.line == 1
 
 
 def test_zero_wait_batch_cross_metric_consistency():

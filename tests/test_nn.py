@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from rlsched.errors import ConfigError, ShapeError
 from rlsched.nn import (
+    LayerSpec,
     Network,
     conv3,
     dense,
@@ -175,6 +178,26 @@ def test_bad_chains_rejected():
         Network([conv3(4)], input_shape=(9,))
     with pytest.raises(ConfigError):
         Network([conv3(0)], input_shape=(1, 3, 3))
+
+
+@pytest.mark.parametrize("layers, shape, message", [
+    ([LayerSpec("dense", units=2, activation="tanh")], (3,),
+     "unknown activation 'tanh'"),
+    ([LayerSpec("conv5", units=2)], (1, 3, 3), "unknown layer kind 'conv5'"),
+    ([maxpool2()], (12,), "maxpool2 needs (C, H, W) input, got (12,)"),
+    ([maxpool2()], (1, 1, 4), "maxpool2 input too small: (1, 1, 4)"),
+    ([LayerSpec("maxpool2", activation="relu")], (1, 4, 4),
+     "maxpool2 takes no activation, got 'relu'"),
+    ([LayerSpec("flatten", activation="relu")], (1, 4, 4),
+     "flatten takes no activation, got 'relu'"),
+    ([dense(0)], (3,), "dense needs width >= 1, got 0"),
+], ids=["unknown-activation", "unknown-kind", "pool-on-flat-input",
+        "pool-on-small-input", "pool-with-activation", "flatten-with-activation",
+        "zero-width-dense"])
+def test_chain_checks_name_the_bad_value(layers, shape, message):
+    with pytest.raises(ConfigError) as err:
+        Network(layers, input_shape=shape)
+    assert str(err.value) == message
 
 
 def test_forward_deterministic():
@@ -447,6 +470,20 @@ def test_sgd_shape_mismatch_raises():
         net.sgd_step([(np.zeros((9, 9)), np.zeros(2))], lr=0.1)
 
 
+@pytest.mark.parametrize("grads, lr, error, message", [
+    ([(np.zeros((2, 3)), np.zeros(2))], -0.1, ValueError, "lr must be >= 0, got -0.1"),
+    ([], 0.1, ShapeError, "gradient list does not match parameter list"),
+    ([None], 0.1, ShapeError, "gradient/parameter structure mismatch"),
+], ids=["negative-lr", "wrong-length", "wrong-structure"])
+def test_sgd_step_checks_name_the_fault(grads, lr, error, message):
+    net = Network([dense(2)], input_shape=(3,), seed=0)
+    before = [a.copy() for a in net.parameter_arrays()]
+    with pytest.raises(error) as err:
+        net.sgd_step(grads, lr=lr)
+    assert str(err.value) == message
+    assert all(np.array_equal(a, b) for a, b in zip(before, net.parameter_arrays()))
+
+
 # -- gradient check -------------------------------------------------------------
 
 
@@ -530,6 +567,43 @@ def test_checkpoint_architecture_mismatch(tmp_path):
     other = Network([flatten(), dense(3)], input_shape=(1, 5, 5), seed=9)
     with pytest.raises(ConfigError):
         load_params(other, path)
+
+
+def _rewrite_checkpoint(path, meta=None, **arrays):
+    with np.load(path) as data:
+        saved = dict(data)
+    if meta is not None:
+        saved["meta"] = np.array(json.dumps({**json.loads(str(saved["meta"])),
+                                             **meta}))
+    np.savez(path, **{**saved, **arrays})
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"meta": {"format": 2}}, "unsupported format 2"),
+    ({"w2": np.zeros((4, 3), dtype=np.float32)},
+     "parameter shape mismatch at layer 2"),
+    ({"w2": np.zeros((2, 3), dtype=np.complex64)},
+     "array w2 is complex64, not real floating point"),
+    ({"b2": np.zeros(2, dtype=bool)}, "array b2 is bool, not real floating point"),
+    ({"b2": np.zeros(2, dtype=np.int64)},
+     "array b2 is int64, not real floating point"),
+], ids=["unsupported-format", "shape-mismatch", "complex-weights", "bool-biases",
+        "integer-biases"])
+def test_checkpoint_load_rejects_bad_arrays(tmp_path, change, message):
+    """A checkpoint of the network's architecture with another format, or
+    whose last layer's arrays do not fit, fails with a ConfigError that
+    names the file; no cast drops an imaginary part or reads flags as
+    weights, and the first layer is not loaded either."""
+    layers = [flatten(), dense(3), dense(2)]
+    path = tmp_path / "params.npz"
+    save_params(Network(layers, input_shape=(1, 5, 5), seed=9), path)
+    _rewrite_checkpoint(path, **change)
+    net = Network(layers, input_shape=(1, 5, 5), seed=1)
+    before = [a.copy() for a in net.parameter_arrays()]
+    with pytest.raises(ConfigError) as err:
+        load_params(net, path)
+    assert str(err.value) == f"{path}: {message}"
+    assert all(np.array_equal(a, b) for a, b in zip(before, net.parameter_arrays()))
 
 
 def test_astype_is_independent():

@@ -11,6 +11,7 @@ from rlsched.workload import (
     generate,
     load_trace,
     save_trace,
+    validate_spec,
 )
 
 CFG = EnvConfig()
@@ -59,7 +60,7 @@ def test_generated_fields_respect_ranges():
 
 
 def test_generate_draws_one_demand_per_config_resource():
-    cfg = EnvConfig(capacities=(10, 10, 10), resources=("cpu", "memory", "gpu"))
+    cfg = EnvConfig(capacities=(10, 10, 10))
     jobs = generate(WorkloadSpec(rate=1.0, length=50, seed=4), cfg)
     assert all(len(j.demand) == 3 for j in jobs)
     assert {j.demand.index(max(j.demand)) for j in jobs} == {0, 1, 2}
@@ -80,6 +81,22 @@ def test_invalid_specs_rejected():
         generate(WorkloadSpec(dominant_demand_range=(0, 2)), CFG)
     with pytest.raises(SpecError):
         generate(WorkloadSpec(small_duration_range=5), CFG)
+
+
+@pytest.mark.parametrize("spec, config, fragment", [
+    (WorkloadSpec(length=-1), CFG, "length must be >= 0, got -1"),
+    (WorkloadSpec(small_job_fraction=1.5), CFG,
+     "small_job_fraction must be in [0, 1], got 1.5"),
+    (WorkloadSpec(small_job_fraction=-0.1), CFG, "got -0.1"),
+    (WorkloadSpec(small_job_fraction=float("nan")), CFG, "got nan"),
+    (WorkloadSpec(dominant_demand_range=(3, 6)), EnvConfig(capacities=(10, 5)),
+     "max demand 6 exceeds capacity 5"),
+], ids=["negative-length", "fraction-above-one", "negative-fraction",
+        "nan-fraction", "demand-above-smallest-capacity"])
+def test_validate_spec_names_the_bad_value(spec, config, fragment):
+    with pytest.raises(SpecError) as err:
+        validate_spec(spec, config)
+    assert fragment in str(err.value)
 
 
 # -- traces ------------------------------------------------------------------------
@@ -232,6 +249,14 @@ def test_trace_column_mapping(tmp_path):
     )
     jobs = load_trace(path, EnvConfig(), mapping=mapping)
     assert jobs == [Job(id=4, arrival=0, duration=3, demand=(2, 1))]
+
+
+def test_trace_mapping_needs_one_demand_column_per_resource(tmp_path):
+    path = write(tmp_path, "job_id,arrival_time,duration,cpu_req,mem_req\n")
+    with pytest.raises(ParseError) as err:
+        load_trace(path, EnvConfig(capacities=(10, 10, 10)))
+    assert str(err.value) == ("mapping names 2 demand columns, "
+                              "config has 3 resources")
 
 
 def test_save_then_load_round_trip(tmp_path):
