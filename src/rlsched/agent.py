@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import EnvConfig, check_seed
 from .env import ClusterEnv
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, ShapeError, TrainingDiverged
 from .metrics import episode_report, write_csv
 from .nn import Network, conv3, dense, flatten, maxpool2, softmax
 from .nn.checkpoint import load_params, save_params
@@ -91,9 +91,9 @@ def n_step_returns(segment, gamma: float, value_fn, n: int):
     boundaries.
     """
     if not segment:
-        raise ValueError("segment must be non-empty")
+        raise ShapeError("segment must be non-empty")
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ConfigError(f"n must be >= 1, got {n}")
     length = len(segment)
     targets = np.empty(length, dtype=np.float64)
     advantages = np.empty(length, dtype=np.float64)
@@ -172,7 +172,7 @@ class ActorCriticAgent:
         """One critic step and one actor step from a trajectory segment.
         Returns diagnostics evaluated before the parameter updates."""
         if not segment:
-            raise ValueError("segment must be non-empty")
+            raise ShapeError("segment must be non-empty")
         cfg = self.config
         length = len(segment)
         # the segment's states and then the final bootstrap state: one batched

@@ -24,6 +24,7 @@ from .errors import ConfigError, RlschedError
 from .experiment import (
     EPISODE_COLUMNS,
     ExperimentSpec,
+    cell_sequences,
     emit_plot_series,
     run_cell,
     run_experiment,
@@ -150,7 +151,8 @@ def cmd_evaluate(args) -> int:
         episodes=args.episodes,
         checkpoint=args.checkpoint,
     )
-    rows = run_cell(spec, args.policy, 0, spec.seeds[0])
+    rows = run_cell(spec, args.policy, 0, spec.seeds[0],
+                    cell_sequences(spec, 0, spec.seeds[0]))
     if args.out:
         write_csv(Path(args.out), EVALUATE_COLUMNS, rows)
     print(

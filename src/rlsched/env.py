@@ -17,7 +17,6 @@ for inspection.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,7 +40,8 @@ class Job:
     finished_at: int | None = None
 
     def fresh_copy(self) -> "Job":
-        return dataclasses.replace(self, started_at=None, finished_at=None)
+        return Job(id=self.id, arrival=self.arrival, duration=self.duration,
+                   demand=self.demand)
 
 
 @dataclass

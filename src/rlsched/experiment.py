@@ -1,10 +1,11 @@
 """Experiment sweeps: (policy x job rate x seed) cells, CSV results, and
 plot-ready series.
 
-Every cell is a pure function of the spec and its seeds: workloads are drawn
-from a seed sequence derived from (seed, rate index, episode), so re-running
-a sweep reproduces the result files byte for byte. All policies inside a cell
-face identical workloads, which keeps cross-policy comparisons paired.
+Every cell is a pure function of the spec and its seeds: `cell_sequences`
+draws each episode's jobs from a seed derived from (seed, rate index,
+episode), so re-running a sweep reproduces the result files byte for byte.
+A sweep draws each (rate, seed)'s sequences once and every policy runs those
+same lists, which keeps cross-policy comparisons paired.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from . import __version__
 from .agent import ActorCriticAgent, AgentConfig
 from .baselines import POLICY_KINDS, make_policy, run_greedy
 from .config import EnvConfig, check_seed
-from .env import ClusterEnv
+from .env import ClusterEnv, Job
 from .errors import ConfigError
 from .metrics import EpisodeReport, format_cell, read_csv, write_csv
 from .workload import WorkloadSpec, derived_seed, generate, validate_spec
@@ -89,19 +90,30 @@ def _build_policy(kind: str, spec: ExperimentSpec, env: ClusterEnv,
     return make_policy(kind, rng=rng, agent=agent)
 
 
+def cell_sequences(spec: ExperimentSpec, rate_index: int,
+                   seed: int) -> list[list[Job]]:
+    """One job list per episode for the cells at (rate, seed); every policy
+    of those cells runs the same lists. The rate is
+    spec.job_rates[rate_index]. The one seed rule of sweep and evaluate."""
+    workload = dataclasses.replace(spec.workload, rate=spec.job_rates[rate_index])
+    return [
+        generate(dataclasses.replace(
+            workload, seed=derived_seed(seed, rate_index, episode)), spec.env)
+        for episode in range(spec.episodes)
+    ]
+
+
 def run_cell(spec: ExperimentSpec, policy_kind: str, rate_index: int,
-             seed: int) -> list[dict]:
-    """One (policy, rate, seed) cell: one row per episode, with the columns
-    of EPISODE_COLUMNS. The rate is spec.job_rates[rate_index]."""
+             seed: int, sequences: list[list[Job]]) -> list[dict]:
+    """One (policy, rate, seed) cell: one row per sequence, with the columns
+    of EPISODE_COLUMNS. The rate is spec.job_rates[rate_index]. The
+    sequences are only read, so every policy of a cell can run the same
+    lists."""
     rate = spec.job_rates[rate_index]
     env = ClusterEnv(spec.env)
     policy = _build_policy(policy_kind, spec, env, seed, rate_index)
     rows = []
-    for episode in range(spec.episodes):
-        wseed = derived_seed(seed, rate_index, episode)
-        jobs = generate(
-            dataclasses.replace(spec.workload, rate=rate, seed=wseed), spec.env
-        )
+    for episode, jobs in enumerate(sequences):
         report = run_greedy(policy, env, jobs, spec.agent.gamma)
         rows.append(
             {
@@ -141,20 +153,27 @@ def _summarize(rows: list[dict], window: int) -> dict:
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path):
     """Run every (policy x rate x seed) cell and write episodes.csv,
-    summary.csv, and manifest.json under out_dir. On failure the completed
-    cells are still flushed and the manifest marks the incomplete ones."""
+    summary.csv, and manifest.json under out_dir. Each (rate, seed)'s
+    sequences are drawn once, at its first cell, and kept until the rate
+    changes. On failure the completed cells are still flushed and the
+    manifest marks the incomplete ones."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     episode_rows: list[dict] = []
     summary_rows: list[dict] = []
     cells = []
     error: Exception | None = None
+    drawn_rate, drawn = None, {}  # seed -> the sequences at rate drawn_rate
 
     for (rate_index, rate), policy_kind, seed in itertools.product(
             enumerate(spec.job_rates), spec.policies, spec.seeds):
         cell = {"policy": policy_kind, "job_rate": rate, "seed": seed}
         try:
-            rows = run_cell(spec, policy_kind, rate_index, seed)
+            if rate_index != drawn_rate:
+                drawn_rate, drawn = rate_index, {}
+            if seed not in drawn:
+                drawn[seed] = cell_sequences(spec, rate_index, seed)
+            rows = run_cell(spec, policy_kind, rate_index, seed, drawn[seed])
         except Exception as exc:  # flush partial results before raising
             cells.append({**cell, "status": "incomplete"})
             error = exc

@@ -360,7 +360,7 @@ class Network:
     def sgd_step(self, grads, lr: float) -> None:
         """params <- params - lr * grads, elementwise, in place."""
         if lr < 0:
-            raise ValueError(f"lr must be >= 0, got {lr}")
+            raise ConfigError(f"lr must be >= 0, got {lr}")
         if len(grads) != len(self.params):
             raise ShapeError("gradient list does not match parameter list")
         for params, grad in zip(self.params, grads):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import EnvConfig, check_seed
 from .env import Job, validate_jobs
-from .errors import ConfigError, ParseError, SpecError, ValidationError
+from .errors import ConfigError, SpecError, ValidationError
 from .metrics import read_csv, write_csv
 
 
@@ -139,7 +139,7 @@ def load_trace(
     if not 0.0 < time_scale < math.inf:  # False for NaN too
         raise ConfigError(f"time_scale must be finite and > 0, got {time_scale}")
     if len(mapping.demand_columns) != config.num_resources:
-        raise ParseError(
+        raise ConfigError(
             f"mapping names {len(mapping.demand_columns)} demand columns, "
             f"config has {config.num_resources} resources"
         )

@@ -14,7 +14,7 @@ from rlsched.agent import (
 from rlsched.baselines import make_policy, run_greedy
 from rlsched.config import EnvConfig
 from rlsched.env import ClusterEnv, Job
-from rlsched.errors import ConfigError, TrainingDiverged
+from rlsched.errors import ConfigError, ShapeError, TrainingDiverged
 from rlsched.nn import Network, dense, flatten, softmax
 from rlsched.workload import WorkloadSpec, generate
 
@@ -377,10 +377,10 @@ def test_positive_advantage_increases_action_probability():
     (lambda: AgentConfig(gamma=-0.1), ConfigError, "got -0.1"),
     (lambda: AgentConfig(gamma=float("nan")), ConfigError, "got nan"),
     (lambda: AgentConfig(n_steps=0), ConfigError, "n_steps must be >= 1, got 0"),
-    (lambda: n_step_returns([], 0.9, lambda s: 0.0, 1), ValueError,
+    (lambda: n_step_returns([], 0.9, lambda s: 0.0, 1), ShapeError,
      "segment must be non-empty"),
     (lambda: n_step_returns(chain_segment([-1.0], done_last=True), 0.9,
-                            lambda s: 0.0, 0), ValueError, "n must be >= 1, got 0"),
+                            lambda s: 0.0, 0), ConfigError, "n must be >= 1, got 0"),
 ], ids=["gamma-above-one", "negative-gamma", "nan-gamma", "zero-n-steps",
         "empty-segment", "zero-n"])
 def test_agent_input_checks_name_the_bad_value(make, error, fragment):
@@ -390,7 +390,7 @@ def test_agent_input_checks_name_the_bad_value(make, error, fragment):
 
 
 def test_update_rejects_empty_segment():
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError, match="segment must be non-empty"):
         tiny_agent().update([])
 
 

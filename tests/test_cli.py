@@ -193,6 +193,24 @@ def test_evaluate_matches_sweep_cell(tmp_path, config_path, capsys):
     assert evaluated == [{k: row[k] for k in evaluated[0]} for row in swept]
 
 
+def test_evaluate_and_sweep_share_one_seed_rule(tmp_path, config_path, capsys):
+    """evaluate's rows equal the sjf / 0.7 / seed 1 rows of a sweep with the
+    same config, which also runs random and seed 0."""
+    sweep_out = tmp_path / "results"
+    assert main(["sweep", "--config", config_path, "--out", str(sweep_out),
+                 "--episodes", "3"]) == 0
+    eval_out = tmp_path / "eval.csv"
+    assert main(["evaluate", "--config", config_path, "--policy", "sjf",
+                 "--rate", "0.7", "--seed", "1", "--episodes", "3",
+                 "--out", str(eval_out)]) == 0
+    capsys.readouterr()
+    swept = [row for row in _csv_rows(sweep_out / "episodes.csv")
+             if (row["policy"], row["job_rate"], row["seed"]) == ("sjf", "0.7", "1")]
+    evaluated = _csv_rows(eval_out)
+    assert len(evaluated) == 3
+    assert evaluated == [{k: row[k] for k in evaluated[0]} for row in swept]
+
+
 @pytest.mark.parametrize(
     "command, text, error, fragment",
     [

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from rlsched import experiment
 from rlsched.config import EnvConfig
+from rlsched.env import ClusterEnv
 from rlsched.errors import ConfigError
 from rlsched.experiment import (
     ExperimentSpec,
@@ -12,7 +14,7 @@ from rlsched.experiment import (
     emit_plot_series,
     run_experiment,
 )
-from rlsched.workload import WorkloadSpec
+from rlsched.workload import WorkloadSpec, generate
 
 SMALL_ENV = EnvConfig(horizon=8, capacities=(4, 4), queue_slots=3,
                       backlog_size=10, episode_limit=200)
@@ -68,20 +70,40 @@ def test_sweep_zero_seeds_empty_results(tmp_path):
     assert manifest["cells"] == []
 
 
-def test_sweep_policies_share_workloads(tmp_path):
-    run_experiment(small_spec(), tmp_path / "r")
-    with open(tmp_path / "r" / "episodes.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    # same (seed, episode) cell-pair sees the same job count across policies
-    totals = {}
-    for r in rows:
-        key = (r["seed"], r["episode"])
-        totals.setdefault(key, set()).add(
-            (int(r["completed"]), r["truncated"])
-        )
-    # completed may differ by policy only through truncation, which the tiny
-    # workload never triggers here, so the totals coincide
-    assert all(len({c for c, _ in v}) == 1 for v in totals.values())
+def test_sweep_policies_share_workloads(tmp_path, monkeypatch):
+    """Each (rate, seed)'s sequences are drawn once, every policy of the
+    cell runs the same jobs, and the shared lists are never written to."""
+    spec = small_spec(policies=("random", "sjf", "tetris"), job_rates=(0.5, 0.7))
+    drawn, ran = [], []
+    reset = ClusterEnv.reset
+
+    def counting_generate(*args):
+        jobs = generate(*args)
+        drawn.append(jobs)
+        return jobs
+
+    def recording_reset(self, jobs):
+        reset(self, jobs)
+        if jobs:  # not the empty reset of ClusterEnv()
+            ran.append([(j.id, j.arrival, j.duration, j.demand) for j in self.jobs])
+        return self
+
+    monkeypatch.setattr(experiment, "generate", counting_generate)
+    monkeypatch.setattr(ClusterEnv, "reset", recording_reset)
+    rows, _ = run_experiment(spec, tmp_path / "r")
+
+    assert len(drawn) == len(spec.job_rates) * len(spec.seeds) * spec.episodes
+    assert len(ran) == len(rows) == len(spec.policies) * len(drawn)
+    by_episode = {}
+    for row, jobs in zip(rows, ran):
+        key = (row["job_rate"], row["seed"], row["episode"])
+        by_episode.setdefault(key, {})[row["policy"]] = jobs
+    assert len(by_episode) == len(drawn)
+    for runs in by_episode.values():
+        assert sorted(runs) == sorted(spec.policies)
+        assert all(jobs == runs["random"] for jobs in runs.values())
+    assert all(j.started_at is None and j.finished_at is None
+               for jobs in drawn for j in jobs)
 
 
 def test_sjf_beats_random_in_sweep(tmp_path):

@@ -471,7 +471,7 @@ def test_sgd_shape_mismatch_raises():
 
 
 @pytest.mark.parametrize("grads, lr, error, message", [
-    ([(np.zeros((2, 3)), np.zeros(2))], -0.1, ValueError, "lr must be >= 0, got -0.1"),
+    ([(np.zeros((2, 3)), np.zeros(2))], -0.1, ConfigError, "lr must be >= 0, got -0.1"),
     ([], 0.1, ShapeError, "gradient list does not match parameter list"),
     ([None], 0.1, ShapeError, "gradient/parameter structure mismatch"),
 ], ids=["negative-lr", "wrong-length", "wrong-structure"])

@@ -253,7 +253,7 @@ def test_trace_column_mapping(tmp_path):
 
 def test_trace_mapping_needs_one_demand_column_per_resource(tmp_path):
     path = write(tmp_path, "job_id,arrival_time,duration,cpu_req,mem_req\n")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ConfigError) as err:
         load_trace(path, EnvConfig(capacities=(10, 10, 10)))
     assert str(err.value) == ("mapping names 2 demand columns, "
                               "config has 3 resources")
