@@ -16,15 +16,30 @@ batch*h*w) matrix whose row (c, i, j) holds every pixel's (i, j) neighbour in
 channel c, in (n, y, x) order, and whose last row is ones. [w | b] @ cols
 writes the output as (f, batch, h, w), and the layer hands it on as a
 (batch, f, h, w) view, C-contiguous at batch 1: the in-place ReLU and the
-max-pool read contiguous memory, and a flatten after it is a view. Folding
-the bias in keeps the bits of a row-major patches @ w.T + b: it is the same
-dot product per output, and the bias is the last term the gemm adds, as the
-separate + b added it last (tests/test_nn.py checks this bit for bit against
-a fresh-array oracle, at the default state image's shape too). A
-convolution caches its input, and backward rebuilds from it the row-major
-(batch*h*w, c*9) patches, in the buffer that held the columns, and copies
-the output gradient to NHWC (batch*h*w, f): the layouts of a fresh im2col,
-so dw and db keep their bits as well.
+max-pool read contiguous memory, and a flatten after it is a view. With two
+or more filters, folding the bias in keeps the bits of a row-major
+patches @ w.T + b: it is the same dot product per output, and the bias is
+the last term the gemm adds, as the separate + b added it last
+(tests/test_nn.py checks this bit for bit against a fresh-array oracle, at
+the default state image's shape too). A one-filter conv's (1, c*9 + 1) gemm
+takes another BLAS path and may differ in the last bit; no shipped
+architecture has one. A convolution caches its input, and backward rebuilds
+from it the row-major (batch*h*w, c*9) patches, in the buffer that held the
+columns, and copies the output gradient to NHWC (batch*h*w, f): the layouts
+of a fresh im2col, so dw and db keep their bits as well.
+
+Backward leaves two slow numpy paths where the bits allow it:
+- a one-unit dense layer (the critic's head) builds its input gradient as
+  the broadcast product grad * w, not a K = 1 gemm. The values are those of
+  the gemm; only a zero product may be -0.0 where the gemm writes +0.0. A
+  zero's sign reaches nothing but zeros (a ReLU mask, max-pool routing)
+  until a sum, and every sum here starts from +0.0 (a gemm's accumulator,
+  add.reduce, the zeroed input-gradient canvas), which erases it. The layer
+  whose input gradient the caller gets back keeps the gemm.
+- a conv's bias gradient on the NHWC copy is einsum("ij->j"), which adds the
+  rows one at a time as sum(axis=0) does there, but faster. On a strided
+  view (batch 1) and on a one-filter copy (N, 1) sum(axis=0) adds pairwise,
+  so those keep it. tests/test_nn.py pins both numpy rules.
 
 Each network keeps its batch-sized intermediates in buffers it reuses, one
 flat array per (role, layer): a convolution's im2col (columns in forward,
@@ -275,7 +290,13 @@ class Network:
                 grads[i] = (grad.T @ x, grad.sum(axis=0))
                 if i > first:
                     dx = self._buffer(("dgrad", i), (len(grad), w.shape[1]))
-                    grad = np.matmul(grad, w, out=dx)
+                    if w.shape[0] == 1:
+                        # one unit: an outer product, slow through gemm; it
+                        # differs only in a zero's sign, which the sums that
+                        # follow erase (module docstring)
+                        grad = np.multiply(grad, w, out=dx)
+                    else:
+                        grad = np.matmul(grad, w, out=dx)
                 elif input_grad:
                     # fresh, so the returned input gradient is the caller's
                     grad = grad @ w
@@ -310,10 +331,15 @@ class Network:
             for dj in range(3):
                 patches[..., di, dj] = windows[..., di, dj].transpose(0, 2, 3, 1)
         patches = patches.reshape(batch * h * wd, c * 9)
-        grad_m, _ = self._reshape(grad.transpose(0, 2, 3, 1),
-                                  (batch * h * wd, f), ("conv", i))
+        grad_m, copied = self._reshape(grad.transpose(0, 2, 3, 1),
+                                       (batch * h * wd, f), ("conv", i))
         dw = (grad_m.T @ patches).reshape(f, c, 3, 3)
-        db = grad_m.sum(axis=0)
+        # on a copy with f > 1, einsum adds the rows in sum(axis=0)'s order,
+        # faster; a one-filter copy comes from a later conv's input gradient
+        if copied and f > 1:
+            db = np.einsum("ij->j", grad_m)
+        else:
+            db = grad_m.sum(axis=0)
         if not input_grad:
             return (dw, db), None
         dpatches = (grad_m @ w.reshape(f, c * 9)).reshape(batch, h, wd, c, 3, 3)

@@ -514,31 +514,50 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-# arch: (episodes, sha256 of training_log.csv, greedy_avg_slowdown printed)
+# arch: (episodes, sha256 of training_log.csv, greedy_avg_slowdown printed,
+#        sha256 of the final checkpoint's arrays, as checkpoint_digest takes it)
 RECORDED_TRAINING_DIGESTS = {
     "fc": ("3", "830b61420a0dde4619ca5bde34a08dc5254ae5fd67ed91e806e8e90e78c87118",
-           5.011413780018431),
+           5.011413780018431,
+           "a999a9e1a4c18b8ef3ef06c312ed1c4f4fd0ed4bf7b3df14b78bdccdccf64ef7"),
     "conv16": ("2", "39dcfe216cff92191dbd66af84bcf2006d485ad4a74bcf40f594609461568c4c",
-               5.011413780018431),
+               5.011413780018431,
+               "254b50a835509a7c4e79862d707ccf434d2ebf698418da64d2fc01518b864a4a"),
     "conv16_pool": ("2", "b4f9b5c0bee7e15de8c6fc5e3ac212db490e8c2078b1bed081c70959d4d684fe",
-                    5.240317434503481),
+                    5.240317434503481,
+                    "ae4e45dc52b10700ab63386cfd3a77228546af7e1b760ab77d139b77ff9a0ec9"),
     "conv32_pool": ("1", "cc0cb5f5aa4910c28d174cbb42a97448d03ef06935d80ca94eb04bba507c537b",
-                    5.3216121088214114),
+                    5.3216121088214114,
+                    "a81f318d483dc553d347ed1d79a997a28a348df89ed23fb801e3ffeabb6d0192"),
 }
+
+
+def checkpoint_digest(checkpoint):
+    """sha256 over actor.npz, then critic.npz: each array name but meta in
+    sorted order, its bytes, then the array's tobytes()."""
+    digest = hashlib.sha256()
+    for net in ("actor", "critic"):
+        with np.load(checkpoint / f"{net}.npz") as arrays:
+            for name in sorted(set(arrays.files) - {"meta"}):
+                digest.update(name.encode())
+                digest.update(arrays[name].tobytes())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("arch", sorted(RECORDED_TRAINING_DIGESTS))
 def test_training_log_matches_recorded_digest(tmp_path, arch):
     """`rlsched train --config configs/default.yaml` in a fresh process with
-    one BLAS thread writes a training log byte-identical to the recorded one
-    and prints the recorded episode count and greedy mean slowdown.
+    one BLAS thread writes a training log byte-identical to the recorded one,
+    a final checkpoint with the recorded parameters (the critic reaches the
+    log only through its losses), and prints the recorded episode count and
+    greedy mean slowdown.
 
     ROADMAP item 1 (invalid-action masking, the return scale) will change
     these digests and slowdowns; the change that does so records the old and
     new values in CHANGES.md.
     """
     root = Path(__file__).resolve().parents[1]
-    episodes, digest, greedy = RECORDED_TRAINING_DIGESTS[arch]
+    episodes, digest, greedy, params = RECORDED_TRAINING_DIGESTS[arch]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [
                    str(root / "src"), os.environ.get("PYTHONPATH")])))
@@ -550,6 +569,7 @@ def test_training_log_matches_recorded_digest(tmp_path, arch):
     ).stdout
     log = (tmp_path / "training_log.csv").read_bytes()
     assert hashlib.sha256(log).hexdigest() == digest
+    assert checkpoint_digest(tmp_path / "checkpoints" / "final") == params
     printed = json.loads(stdout)
     assert printed["trained_episodes"] == int(episodes)
     assert printed["greedy_avg_slowdown"] == greedy

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from rlsched.errors import ConfigError, ShapeError
@@ -333,6 +335,11 @@ ORACLE_CHAINS = {
     "conv16_pool": [conv3(16, activation="relu"), maxpool2(), flatten(), dense(6)],
     "conv32_pool": [conv3(32, activation="relu"), maxpool2(), flatten(), dense(6)],
     "fc": [flatten(), dense(24, activation="relu"), dense(1)],
+    # critic heads: a one-unit dense layer's input gradient feeds a conv
+    "conv16_critic": [conv3(16, activation="relu"), flatten(), dense(1)],
+    "conv32_pool_critic": [conv3(32, activation="relu"), maxpool2(), flatten(),
+                           dense(1)],
+    "conv2_critic": [conv3(2, activation="relu"), flatten(), dense(1)],
 }
 
 # the default cluster's encode_state image, which holds only 0s and 1s
@@ -360,6 +367,8 @@ def test_chain_matches_fresh_array_oracle_bit_for_bit(arch, shape):
         input_grad = step % 2 == 1
         out, caches = net.forward(x)
         grad_out = rng.standard_normal(out.shape)
+        if arch.endswith("_critic"):
+            grad_out[-1] = 0.0  # the bootstrap row of ActorCriticAgent.update
         grads, dx = net.backward(caches, grad_out, input_grad=input_grad)
         want_out, want_grads, want_dx = chain_oracle(net, x, grad_out)
         assert_same_bits(out, want_out)
@@ -372,6 +381,83 @@ def test_chain_matches_fresh_array_oracle_bit_for_bit(arch, shape):
             assert_same_bits(dx, want_dx)
         else:
             assert dx is None
+
+
+# Network.backward relies on two numpy rules; a numpy that breaks one fails
+# here, not in a training digest three layers away.
+
+def _bits(a):
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+def _summands(dtype):
+    # exact zeros of both signs among values of mixed magnitude, so that a
+    # different summation order would show in the rounding
+    return st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(-1e4, 1e4, width=np.dtype(dtype).itemsize * 8))
+
+
+@st.composite
+def _sum_case(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = (draw(st.integers(1, 130)), draw(st.integers(2, 17)))
+    return draw(hnp.arrays(dtype, shape, elements=_summands(dtype)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sum_case())
+def test_einsum_column_sum_keeps_the_bits_of_sum(a):
+    """On a C-contiguous (N, f >= 2) array, einsum("ij->j") adds the rows in
+    the order sum(axis=0) does, so a conv's bias gradient keeps its bits."""
+    assert a.flags.c_contiguous
+    assert np.array_equal(_bits(np.einsum("ij->j", a)), _bits(a.sum(axis=0)))
+
+
+@st.composite
+def _head_case(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rows, width = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    grad = draw(hnp.arrays(dtype, (rows, 1), elements=_summands(dtype)))
+    w = draw(hnp.arrays(dtype, (1, width), elements=_summands(dtype)))
+    return grad, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(_head_case())
+def test_one_unit_input_gradient_as_a_product_matches_matmul(case):
+    """A one-unit dense layer's input gradient as np.multiply equals np.matmul
+    in value, and in bits wherever it is not zero: gemm sums from +0.0, so
+    only a zero product's sign may differ (grad or w is 0, or it underflows),
+    and a later sum from +0.0 erases that sign."""
+    grad, w = case
+    product, gemm = np.multiply(grad, w), np.matmul(grad, w)
+    assert np.array_equal(product, gemm)
+    live = gemm != 0
+    assert np.array_equal(_bits(product)[live], _bits(gemm)[live])
+    assert not np.signbit(gemm[~live]).any()
+    zeros = product[~live]
+    assert not np.signbit(np.add.reduce(zeros)) and not np.signbit(
+        np.einsum("i->", zeros))
+
+
+@pytest.mark.parametrize("shape", [(1, 7, 9), STATE_SHAPE], ids=["small", "state"])
+def test_one_filter_bias_gradient_from_a_conv_keeps_its_bits(shape):
+    """A one-filter conv before another conv gets a strided input gradient,
+    which backward copies to an (N, 1) array; there sum(axis=0) adds pairwise,
+    so its bias gradient must not take the row-by-row einsum. Only db is
+    compared: a one-filter conv's forward may differ in the last bit (see
+    the network module docstring), and with no ReLU db does not depend on
+    it."""
+    net = Network([conv3(1, activation="none"), conv3(2, activation="none"),
+                   flatten(), dense(3)], input_shape=shape, seed=3, init_scale=0.5)
+    rng = np.random.default_rng(11)
+    for batch in (6, 1, 5, 2):
+        x = rng.standard_normal((batch,) + shape).astype(np.float32)
+        out, caches = net.forward(x)
+        grad_out = rng.standard_normal(out.shape)
+        grads, _ = net.backward(caches, grad_out)
+        _, want_grads, _ = chain_oracle(net, x, grad_out)
+        assert_same_bits(grads[0][1], want_grads[0][1])
 
 
 @pytest.mark.parametrize("arch", ["conv16", "conv32_pool"])
