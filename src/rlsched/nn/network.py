@@ -6,27 +6,40 @@ exact reverse-mode gradients; updates are plain SGD. Everything is batched
 over the leading axis and deterministic given (seed, input).
 
 A ReLU overwrites its input and caches its output: relu(z) > 0 exactly
-where z > 0, and a max-pool after it then caches the same array. Max-pooling
-takes the first maximum in row-major window order (top-left, top-right,
-bottom-left, bottom-right), a NaN counting as the maximum, and sends the
-window's gradient to that cell alone.
+where z > 0. Max-pooling takes the first maximum in row-major window order
+(top-left, top-right, bottom-left, bottom-right), a NaN counting as the
+maximum, and sends the window's gradient to that cell alone. A conv's ReLU
+runs after the max-pool that reads it, on the quarter-size pooled array. Max
+commutes with it bit for bit: np.maximum(v, 0.0) is +0.0 for -0.0 and every
+negative v, and NaN for NaN (tests/test_nn.py checks this). Its mask then
+applies to the pooled gradient, before routing: the routed cell's mask is the
+window's. A window with no positive value is a tie at +0.0 after a ReLU, so
+its zeroed gradient goes to the top-left cell.
 
-A convolution is one gemm over a channel-major im2col: a (c*9 + 1,
-batch*h*w) matrix whose row (c, i, j) holds every pixel's (i, j) neighbour in
-channel c, in (n, y, x) order, and whose last row is ones. [w | b] @ cols
-writes the output as (f, batch, h, w), and the layer hands it on as a
-(batch, f, h, w) view, C-contiguous at batch 1: the in-place ReLU and the
-max-pool read contiguous memory, and a flatten after it is a view. With two
+A convolution is one gemm over a channel-major im2col with a leading block
+axis: (blocks, c*9 + 1, columns), whose row (c, i, j) holds each column's
+(i, j) neighbour in channel c and whose last row is ones. A conv with no
+max-pool after it has one block, every pixel in (n, y, x) order. [w | b] @
+cols writes its output as (f, batch, h, w), and the layer hands it on as a
+(batch, f, h, w) view, C-contiguous at batch 1: its in-place ReLU reads
+contiguous memory, and a flatten after it is a view. A conv that a max-pool
+reads has four window-major blocks, one per window corner in row-major
+order, each of every window in (n, y2, x2) order; an odd last row or column,
+which no window reads, is left out. The gemm writes them as four contiguous
+(f, batch, h2, w2) blocks, which the pool reduces into a fresh C-order
+(batch, f, h2, w2) array, so a flatten after the pool is a view. With two
 or more filters, folding the bias in keeps the bits of a row-major
 patches @ w.T + b: it is the same dot product per output, and the bias is
 the last term the gemm adds, as the separate + b added it last
 (tests/test_nn.py checks this bit for bit against a fresh-array oracle, at
-the default state image's shape too). A one-filter conv's (1, c*9 + 1) gemm
-takes another BLAS path and may differ in the last bit; no shipped
-architecture has one. A convolution caches its input, and backward rebuilds
-from it the row-major (batch*h*w, c*9) patches, in the buffer that held the
-columns, and copies the output gradient to NHWC (batch*h*w, f): the layouts
-of a fresh im2col, so dw and db keep their bits as well.
+the default state image's shape too). A one-filter conv's (1, c*9 + 1) gemm,
+pooled or not, takes another BLAS path and may differ in the last bit; no
+shipped architecture has one. A convolution caches its input, and backward
+rebuilds from it the row-major (batch*h*w, c*9) patches, in the buffer that
+held the columns, and copies the output gradient to NHWC (batch*h*w, f): the
+layouts of a fresh im2col, so dw and db keep their bits as well. A max-pool
+routes its gradient into a fresh (batch, f, h, w) array, so a conv's
+backward is the same with or without a pool after it.
 
 Backward leaves two slow numpy paths where the bits allow it:
 - a one-unit dense layer (the critic's head) builds its input gradient as
@@ -110,15 +123,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _windows(x):
-    """The zero-padded 3x3 window around every pixel of x (batch, C, H, W),
-    as a read-only (batch, C, H, W, 3, 3) strided view of a padded copy."""
+def _windows(x, step=1):
+    """The zero-padded 3x3 window around pixels of x (batch, C, H, W), as a
+    read-only (step, step, batch, C, H // step, W // step, 3, 3) strided view
+    of a padded copy: block (i, j) holds the pixels (i + step*y, j + step*x).
+    Step 1 is every pixel; step 2 is each 2x2 window's corners, and drops an
+    odd last row or column, which no window reads."""
     batch, c, h, wd = x.shape
     padded = np.zeros((batch, c, h + 2, wd + 2), dtype=x.dtype)
     padded[:, :, 1 : h + 1, 1 : wd + 1] = x
     sn, sc, sy, sx = padded.strides
-    return as_strided(padded, (batch, c, h, wd, 3, 3), (sn, sc, sy, sx, sy, sx),
-                      writeable=False)
+    return as_strided(padded, (step, step, batch, c, h // step, wd // step, 3, 3),
+                      (sy, sx, sn, sc, step * sy, step * sx, sy, sx), writeable=False)
 
 
 def _corners(x):
@@ -225,6 +241,21 @@ class Network:
             np.copyto(buf, x)
             return buf.reshape(shape), True
 
+    def _feeds_pool(self, i):
+        """Whether layer i is a conv3 that a maxpool2 reads: its output is
+        then window-major, and its activation runs after the pool."""
+        return (0 <= i < len(self.layers) - 1 and self.layers[i].kind == "conv3"
+                and self.layers[i + 1].kind == "maxpool2")
+
+    def _activation(self, i):
+        """The activation run after layer i: a conv's moves past the max-pool
+        that reads it, onto the pool's quarter-size output."""
+        if self._feeds_pool(i):
+            return "none"
+        if self._feeds_pool(i - 1):
+            return self.layers[i - 1].activation
+        return self.layers[i].activation
+
     def forward(self, x: np.ndarray):
         """x is (batch, *input_shape); returns (output, caches)."""
         x = np.asarray(x, dtype=self.dtype)
@@ -236,10 +267,18 @@ class Network:
         owned = False  # x lives in one of this network's buffers
         for i, (spec, params) in enumerate(zip(self.layers, self.params)):
             if spec.kind == "conv3":
-                x, cache = self._conv_forward(i, x, *params)
+                pooled = self._feeds_pool(i)
+                blocks, cache = self._conv_forward(i, x, *params, pooled)
+                # a pool after it gets the corner blocks and the output shape
+                shape = (len(x), spec.units) + x.shape[2:]
+                x = (blocks, shape) if pooled else blocks[0]
                 owned = True
             elif spec.kind == "maxpool2":
-                x, cache = self._pool_forward(x)
+                if self._feeds_pool(i - 1):
+                    corners, shape = x
+                else:
+                    corners, shape = _corners(x), x.shape
+                x, cache = self._pool_forward(corners, shape)
                 owned = False
             elif spec.kind == "flatten":
                 cache = x.shape
@@ -250,9 +289,9 @@ class Network:
                 cache = x
                 x = x @ w.T + b
                 owned = False
-            if spec.activation == "relu":
-                # in place: only conv3 and dense take a ReLU, and their output
-                # is a fresh array or this layer's buffer
+            if self._activation(i) == "relu":
+                # in place: a ReLU follows a conv3, a dense layer or the pool
+                # of a conv3, whose output is a fresh array or a buffer
                 np.maximum(x, 0.0, out=x)
                 cache = (cache, x)
             caches.append(cache)
@@ -271,7 +310,8 @@ class Network:
         for i in range(len(self.layers) - 1, last - 1, -1):
             spec, cache = self.layers[i], caches[i]
             need_dx = input_grad or i > first
-            if spec.activation == "relu":
+            relu = self._activation(i) == "relu"
+            if relu:
                 cache, act = cache
                 # a conv3 output is its layer's buffer, dead once the mask is
                 # taken, so the 0/1 mask goes there
@@ -281,7 +321,7 @@ class Network:
                 grads[i], grad = self._conv_backward(i, grad, cache,
                                                      self.params[i][0], need_dx)
             elif spec.kind == "maxpool2":
-                grad = self._pool_backward(grad, *cache)
+                grad = self._pool_backward(grad, *cache, relu)
             elif spec.kind == "flatten":
                 grad = grad.reshape(cache)
             elif spec.kind == "dense":
@@ -302,20 +342,26 @@ class Network:
                     grad = grad @ w
         return grads, (grad if input_grad else None)
 
-    def _conv_forward(self, i, x, w, b):
+    def _conv_forward(self, i, x, w, b, pooled):
         batch, c, h, wd = x.shape
         f = w.shape[0]
-        # channel-major im2col: row (c, i, j) holds, for every pixel (n, y, x)
-        # in order, padded[n, c, y + i, x + j]; a last row of ones carries
-        # the bias, which the gemm then adds last
-        cols = self._buffer(("im2col", i), (c * 9 + 1, batch * h * wd))
-        np.copyto(cols[:-1].reshape(c, 3, 3, batch, h, wd),
-                  _windows(x).transpose(1, 4, 5, 0, 2, 3))
-        cols[-1] = 1.0
+        # channel-major im2col with a leading block axis: one block of every
+        # pixel (n, y, x), or, when a max-pool reads the output, one block
+        # per window corner, in row-major corner order, of every window
+        # (n, y2, x2). Row (c, i, j) of a block holds each column's
+        # padded[n, c, y + i, x + j]; a last row of ones carries the bias,
+        # which the gemm then adds last
+        step = 2 if pooled else 1
+        blocks, bh, bw = step * step, h // step, wd // step
+        cols = self._buffer(("im2col", i), (blocks, c * 9 + 1, batch * bh * bw))
+        np.copyto(cols[:, :-1].reshape(step, step, c, 3, 3, batch, bh, bw),
+                  _windows(x, step).transpose(0, 1, 3, 6, 7, 2, 4, 5))
+        cols[:, -1] = 1.0
         wb = np.concatenate((w.reshape(f, c * 9), b[:, None]), axis=1)
         out = np.matmul(wb, cols,
-                        out=self._buffer(("conv", i), (f, batch * h * wd)))
-        return out.reshape(f, batch, h, wd).transpose(1, 0, 2, 3), x
+                        out=self._buffer(("conv", i), (blocks, f, batch * bh * bw)))
+        # each block as a (batch, f, bh, bw) view, C-contiguous at batch 1
+        return out.reshape(blocks, f, batch, bh, bw).transpose(0, 2, 1, 3, 4), x
 
     def _conv_backward(self, i, grad, x, w, input_grad):
         batch, c, h, wd = x.shape
@@ -324,7 +370,7 @@ class Network:
         # that dw and db keep their bits; the patches go in the buffer that
         # held the columns, the NHWC copy in the layer's output buffer, both
         # dead by now
-        windows = _windows(x)
+        windows = _windows(x)[0, 0]
         patches = self._buffer(("im2col", i), (batch, h, wd, c, 3, 3))
         # one copy per window offset: its rows run along x on both sides
         for di in range(3):
@@ -351,34 +397,37 @@ class Network:
                 ].transpose(0, 3, 1, 2)
         return (dw, db), dpadded[:, :, 1 : h + 1, 1 : wd + 1]
 
-    def _pool_forward(self, x):
-        batch, c, h, wd = x.shape
-        h2, w2 = h // 2, wd // 2
-        # every cell against its right neighbour, over each image as one
-        # contiguous run (reshape copies an image whose rows are not one
-        # run); maximum() keeps its second argument on a tie, so the left
-        # cell wins. A row's last cell meets the next row's first, and no
-        # window reads that pair. pairs is a temporary: kept as a buffer it
-        # would hold a convolution output's size for good.
-        flat = x.reshape(batch, c, h * wd)
-        pairs = np.empty((batch, c, h * wd), dtype=self.dtype)
-        np.maximum(flat[..., 1:], flat[..., :-1], out=pairs[..., :-1])
-        # then each window's bottom pair against its top pair, the top one
-        # winning a tie: the first maximum in row-major order
-        rows = pairs.reshape(batch, c, h, wd)
-        out = np.maximum(rows[:, :, 1 : 2 * h2 : 2, 0 : 2 * w2 : 2],
-                         rows[:, :, 0 : 2 * h2 : 2, 0 : 2 * w2 : 2])
-        return out, (x, out)
+    def _pool_forward(self, corners, shape):
+        # the first maximum in row-major window order: maximum() keeps its
+        # second argument on a tie and returns a NaN it meets. The output is
+        # a fresh C-order array, so a flatten after it is a view.
+        c0, c1, c2, c3 = corners
+        out = np.maximum(c3, c2, out=np.empty(c3.shape, dtype=self.dtype))
+        np.maximum(out, np.maximum(c1, c0), out=out)
+        return out, (shape, corners, out)
 
-    def _pool_backward(self, grad, x, out):
+    def _pool_backward(self, grad, shape, corners, out, relu):
         # each window's gradient goes to its first corner equal to the max,
-        # or that is NaN when the max is NaN
-        dx = np.zeros(x.shape, dtype=self.dtype)
-        unrouted = np.ones(out.shape, dtype=bool)
-        for corner, dcorner in zip(_corners(x), _corners(dx)):
-            hit = unrouted & ((corner == out) | np.isnan(corner))
-            np.copyto(dcorner, grad, where=hit)
-            unrouted &= ~hit
+        # or that is NaN when the max is NaN; the last corner takes what the
+        # first three leave. After a ReLU, a window with no positive value
+        # ties at +0.0 in every corner, so its first corner takes it.
+        dx = np.zeros(shape, dtype=self.dtype)
+        word = np.dtype(f"u{dx.itemsize}")
+        routed = np.zeros_like(out, dtype=bool)
+        for k, (corner, dcorner) in enumerate(zip(corners, _corners(dx))):
+            if k < 3:
+                hit = (corner == out) | np.isnan(corner)
+                if k == 0 and relu:
+                    hit |= out == 0
+                hit &= ~routed
+                routed |= hit
+            else:
+                hit = ~routed
+            # the gradient's bits where hit, +0.0 elsewhere: an and with an
+            # all-ones or all-zeros word (-1 or 0) gives what np.where or a
+            # masked copyto would, but vectorized, several times faster
+            np.bitwise_and(grad.view(word), np.negative(hit, dtype=word),
+                           out=dcorner.view(word))
         return dx
 
     # -- parameter updates -----------------------------------------------------

@@ -101,16 +101,23 @@ def test_maxpool_odd_dims_crop():
     assert out.shape == (1, 1, 2, 3)
 
 
-def pool_oracle(x, grad):
-    """Max-pool forward and backward by argmax (the first maximum, or the
-    first NaN) and a gather/scatter over each window's four cells, laid out
-    in row-major order on a last axis; an odd last row or column is dropped."""
+def window_cells(x):
+    """Each 2x2 window's four cells of x (batch, c, h, w) in row-major order
+    on a last axis; an odd last row or column is dropped."""
     batch, c, h, wd = x.shape
     h2, w2 = h // 2, wd // 2
-    windows = (x[:, :, : 2 * h2, : 2 * w2]
-               .reshape(batch, c, h2, 2, w2, 2)
-               .transpose(0, 1, 2, 4, 3, 5)
-               .reshape(batch, c, h2, w2, 4))
+    return (x[:, :, : 2 * h2, : 2 * w2]
+            .reshape(batch, c, h2, 2, w2, 2)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(batch, c, h2, w2, 4))
+
+
+def pool_oracle(x, grad):
+    """Max-pool forward and backward by argmax (the first maximum, or the
+    first NaN) and a gather/scatter over window_cells."""
+    batch, c, h, wd = x.shape
+    h2, w2 = h // 2, wd // 2
+    windows = window_cells(x)
     idx = windows.argmax(axis=-1)
     out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
     dwindows = np.zeros(windows.shape, dtype=x.dtype)
@@ -381,6 +388,84 @@ def test_chain_matches_fresh_array_oracle_bit_for_bit(arch, shape):
             assert_same_bits(dx, want_dx)
         else:
             assert dx is None
+
+
+@pytest.mark.parametrize("head", [6, 1, None], ids=["actor", "critic", "bare"])
+@pytest.mark.parametrize("filters", [16, 32], ids=["conv16_pool", "conv32_pool"])
+def test_pool_chain_matches_oracle_on_nan_inf_and_ties(filters, head):
+    """A conv that feeds a max-pool pools its window-major corner blocks and
+    runs its ReLU on the pooled array; the chain still matches the oracle
+    (full conv, ReLU, argmax pool) bit for bit when conv outputs hold NaN
+    windows, a NaN past a window's first corner, all-negative windows and
+    exact ties. Without a head the pool's output is the network's, so the
+    output gradient can hold +-inf and NaN: a window with no positive value
+    then sends NaN (inf * 0) to its top-left corner, as the oracle does."""
+    shape = (1, 10, 13)
+    layers = [conv3(filters, activation="relu"), maxpool2()]
+    if head is not None:
+        layers += [flatten(), dense(head)]
+    net = Network(layers, input_shape=shape, seed=3, init_scale=0.5)
+    # an all-zero input patch makes conv outputs equal the bias: exact ties,
+    # positive for even filters and all negative for odd ones
+    w = net.params[0][0]
+    b = np.where(np.arange(filters) % 2, -0.25, 0.25).astype(np.float32)
+    net.params[0] = (w, b)
+    rng = np.random.default_rng(5)
+    for batch in (5, 1):
+        x = rng.standard_normal((batch,) + shape).astype(np.float32)
+        x[:, :, :5, :5] = 0.0
+        x[:, :, 2, 8] = np.nan  # window (0, 3) is NaN at its last corner only
+        x[:, :, 7, 2] = np.inf
+        x[:, :, 8, 10] = -np.inf
+        cells = window_cells(conv_forward_oracle(x, w, b)[0])
+        nan = np.isnan(cells)
+        assert (nan[..., 3] & ~nan[..., :3].any(axis=-1)).any()
+        assert (nan[..., 0] & nan[..., 3]).any()
+        assert (cells < 0).all(axis=-1).any()
+        top = cells.max(axis=-1, keepdims=True)
+        assert ((cells == top).sum(axis=-1) == 4)[top[..., 0] > 0].any()
+        assert np.isinf(cells).any()
+        # inf - inf and inf * 0 make NaNs here on purpose
+        with np.errstate(invalid="ignore"):
+            out, caches = net.forward(x)
+            grad_out = rng.standard_normal(out.shape)
+            if head is None:
+                grad_out[rng.random(out.shape) < 0.1] = np.inf
+                grad_out[rng.random(out.shape) < 0.1] = -np.inf
+                grad_out[rng.random(out.shape) < 0.05] = np.nan
+            grads, dx = net.backward(caches, grad_out, input_grad=True)
+            want_out, want_grads, want_dx = chain_oracle(net, x, grad_out)
+        assert_same_bits(out, want_out)
+        for got, want in zip(grads, want_grads):
+            if got is not None:
+                assert_same_bits(got[0], want[0])
+                assert_same_bits(got[1], want[1])
+        assert_same_bits(dx, want_dx)
+
+
+_POOL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+    st.floats(-1e3, 1e3, width=32))
+
+
+@st.composite
+def _pool_input(draw):
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)),
+             draw(st.integers(2, 7)), draw(st.integers(2, 7)))
+    return draw(hnp.arrays(np.float32, shape, elements=_POOL_VALUES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pool_input())
+def test_relu_after_pool_equals_pool_after_relu(x):
+    """Max commutes with ReLU bit for bit, the sign of zero included, at odd
+    and even h and w, so a conv's ReLU can run on its pooled output:
+    np.maximum(v, 0.0) is +0.0 for -0.0 and every negative, NaN for NaN."""
+    pool = Network([maxpool2()], input_shape=x.shape[1:])
+    pooled, _ = pool.forward(x)
+    after = np.maximum(pooled, 0.0, out=pooled)
+    before, _ = pool.forward(np.maximum(x, 0.0))
+    assert_same_bits(after, before)
 
 
 # Network.backward relies on two numpy rules; a numpy that breaks one fails
