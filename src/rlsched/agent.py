@@ -279,12 +279,14 @@ def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs,
     obs = env.encode_state()
     segment: list[Transition] = []
     rewards: list[float] = []
+    total_reward = 0.0
     diags: list[dict] = []
     while not env.is_done():
         action = agent.act(obs)
         outcome = env.step(action)
         next_obs = env.encode_state()
         rewards.append(outcome.reward)
+        total_reward += outcome.reward
         segment.append(
             Transition(obs, action, outcome.reward, next_obs, outcome.done)
         )
@@ -294,13 +296,18 @@ def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs,
         obs = next_obs
     report = episode_report(env.completed, rewards, cfg.gamma,
                             total_jobs=len(env.jobs))
-    means = {key: sum(d[key] for d in diags) / len(diags)
-             for key in (diags[0] if diags else ())}
+    # float sums add left to right, as sum() does only before Python 3.12
+    means = dict.fromkeys(diags[0] if diags else (), 0.0)
+    for diag in diags:
+        for key in means:
+            means[key] += diag[key]
+    for key in means:
+        means[key] /= len(diags)
     return EpisodeRecord(
         episode=episode,
         steps=len(rewards),
         updates=len(diags),
-        total_reward=float(sum(rewards)),
+        total_reward=total_reward,
         **dataclasses.asdict(report),
         **means,
     )

@@ -11,9 +11,10 @@ Placement always takes a row's lowest free cells, and a row is freed only
 when it scrolls off the top of the image, so every row is a filled prefix.
 The image is therefore stored as one Python list of per-row used counts per
 resource, and drawn as cells only when the observation is encoded. The fit
-search reads these lists with plain integer arithmetic; a (horizon, resource)
-array of the same counts is built from them, read-only, for the encoder and
-for inspection.
+search reads these lists with plain integer arithmetic, and the encoder takes
+each drawn row from a per-capacity table of row patterns, indexed by the
+count; a (horizon, resource) array of the same counts is built from them,
+read-only, for `free_counts` and for inspection.
 """
 from __future__ import annotations
 
@@ -157,6 +158,11 @@ class ClusterEnv:
 
     def __init__(self, config: EnvConfig | None = None):
         self.config = config or EnvConfig()
+        # row u of a capacity's table draws a row with u used cells: u ones,
+        # then zeros; the encoder indexes it with the used counts
+        self._row_patterns = {
+            cap: (np.arange(cap + 1)[:, None] > np.arange(cap)).astype(np.float32)
+            for cap in self.config.capacities}
         self.jobs: list[Job] = []
         self.reset([])
 
@@ -230,12 +236,19 @@ class ClusterEnv:
         return reward, completions
 
     def _step_reward(self) -> float:
-        in_system = (
-            self.running
-            + [j for j in self.queue if j is not None]
-            + list(itertools.islice(self.waiting, self.config.backlog_size))
-        )
-        return -sum(1.0 / j.duration for j in in_system)
+        """Minus the sum of 1 / duration over the running, queued and backlog
+        jobs. Subtracting left to right from 0.0 gives the bits of minus a
+        left-to-right sum, which sum() adds only before Python 3.12: from
+        3.12 it compensates, and can differ in the last bit."""
+        reward = 0.0
+        for job in self.running:
+            reward -= 1.0 / job.duration
+        for job in self.queue:
+            if job is not None:
+                reward -= 1.0 / job.duration
+        for job in itertools.islice(self.waiting, self.config.backlog_size):
+            reward -= 1.0 / job.duration
+        return reward
 
     def step(self, action: int) -> StepOutcome:
         """Apply one action. Valid allocations do not advance time; the void
@@ -286,10 +299,10 @@ class ClusterEnv:
         then a unary column-major backlog counter."""
         h = self.config.horizon
         image = np.zeros(self.observation_shape(), dtype=np.float32)
-        used = self.image.used
         col = 0
         for r, cap in enumerate(self.config.capacities):
-            image[:, col : col + cap] = np.arange(cap) < used[:, r, None]
+            image[:, col : col + cap] = self._row_patterns[cap].take(
+                self.image.columns[r], axis=0)
             col += cap
             for job in self.queue:
                 if job is not None:

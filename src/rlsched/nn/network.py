@@ -26,20 +26,24 @@ contiguous memory, and a flatten after it is a view. A conv that a max-pool
 reads has four window-major blocks, one per window corner in row-major
 order, each of every window in (n, y2, x2) order; an odd last row or column,
 which no window reads, is left out. The gemm writes them as four contiguous
-(f, batch, h2, w2) blocks, which the pool reduces into a fresh C-order
-(batch, f, h2, w2) array, so a flatten after the pool is a view. With two
+(f, batch, h2, w2) blocks, which the pool reduces into a C-order (batch,
+f, h2, w2) buffer, so a flatten after the pool is a view. With two
 or more filters, folding the bias in keeps the bits of a row-major
 patches @ w.T + b: it is the same dot product per output, and the bias is
 the last term the gemm adds, as the separate + b added it last
 (tests/test_nn.py checks this bit for bit against a fresh-array oracle, at
 the default state image's shape too). A one-filter conv's (1, c*9 + 1) gemm,
 pooled or not, takes another BLAS path and may differ in the last bit; no
-shipped architecture has one. A convolution caches its input, and backward
-rebuilds from it the row-major (batch*h*w, c*9) patches, in the buffer that
-held the columns, and copies the output gradient to NHWC (batch*h*w, f): the
-layouts of a fresh im2col, so dw and db keep their bits as well. A max-pool
-routes its gradient into a fresh (batch, f, h, w) array, so a conv's
-backward is the same with or without a pool after it.
+shipped architecture has one. A convolution copies its input into the
+interior of a padded-input buffer whose one-pixel border stays zero: nothing
+writes the border after the buffer is made zeroed, and every batch size's
+(batch, c, h + 2, w + 2) slice puts each image's border in the same place.
+Backward reads the windows of that same buffer, which the caches contract
+below allows, to build the row-major (batch*h*w, c*9) patches, in the buffer
+that held the columns, and copies the output gradient to NHWC (batch*h*w,
+f): the layouts of a fresh im2col, so dw and db keep their bits as well. A
+max-pool routes its gradient into a fresh (batch, f, h, w) array, so a
+conv's backward is the same with or without a pool after it.
 
 Backward leaves two slow numpy paths where the bits allow it:
 - a one-unit dense layer (the critic's head) builds its input gradient as
@@ -55,14 +59,16 @@ Backward leaves two slow numpy paths where the bits allow it:
   so those keep it. tests/test_nn.py pins both numpy rules.
 
 Each network keeps its batch-sized intermediates in buffers it reuses, one
-flat array per (role, layer): a convolution's im2col (columns in forward,
-patches in backward) and output, a flatten copy, and a dense layer's input
-gradient. A buffer grows to the largest size asked for, and a batch uses a
-reshaped leading slice, so the memory held does not grow with the number of
-batch sizes seen. Hence the contract:
+flat array per (role, layer): a convolution's padded input, im2col (columns
+in forward, patches in backward) and output, a max-pool's output and
+temporary, a flatten copy, and a dense layer's input gradient. A buffer
+grows to the largest size asked for, and a batch uses a reshaped leading
+slice, so the memory held does not grow with the number of batch sizes seen.
+Hence the contract:
 - the caches of a forward are valid until that network's next forward, and
   serve one backward (which overwrites a convolution's buffers); they may
-  hold the input itself, which must not change in between;
+  hold the input itself, which must not change in between, and hold the
+  views into this network's buffers that backward reads;
 - arrays returned by forward and backward belong to the caller: no later
   call on the network changes them;
 - backward builds the gradient w.r.t. the input only when asked
@@ -70,11 +76,23 @@ batch sizes seen. Hence the contract:
   gradients.
 A buffered intermediate has the layout numpy would give a fresh array there,
 so every matmul and sum gives the same bits with or without the buffers.
+
+A network does its set-up once. Its layer plan, fixed at construction, says
+which conv feeds a pool and where each activation runs. The views a layer
+works through are prepared on the first forward at each batch size and
+reused: a conv's padded-input interior, its strided windows, the 8-D im2col
+destination and source, the gemm's operand, output and block views; a
+pool's output and temporary. A buffer that grows drops the views prepared on
+its layer's buffers, so no view keeps a replaced array alive, and the next
+forward at that batch size prepares them again. A batch-1 forward thus pays
+for its arithmetic and a few copies; every op keeps the operands, layouts
+and order it would have on fresh arrays.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -123,15 +141,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _windows(x, step=1):
-    """The zero-padded 3x3 window around pixels of x (batch, C, H, W), as a
-    read-only (step, step, batch, C, H // step, W // step, 3, 3) strided view
-    of a padded copy: block (i, j) holds the pixels (i + step*y, j + step*x).
-    Step 1 is every pixel; step 2 is each 2x2 window's corners, and drops an
-    odd last row or column, which no window reads."""
-    batch, c, h, wd = x.shape
-    padded = np.zeros((batch, c, h + 2, wd + 2), dtype=x.dtype)
-    padded[:, :, 1 : h + 1, 1 : wd + 1] = x
+def _windows(padded, step):
+    """The 3x3 window around pixels of the zero-bordered (batch, C, H + 2,
+    W + 2) padded input, as a read-only (step, step, batch, C, H // step,
+    W // step, 3, 3) strided view: block (i, j) holds the pixels
+    (i + step*y, j + step*x). Step 1 is every pixel; step 2 is each 2x2
+    window's corners, and drops an odd last row or column, which no window
+    reads."""
+    batch, c, h, wd = padded.shape
+    h, wd = h - 2, wd - 2
     sn, sc, sy, sx = padded.strides
     return as_strided(padded, (step, step, batch, c, h // step, wd // step, 3, 3),
                       (sy, sx, sn, sc, step * sy, step * sx, sy, sx), writeable=False)
@@ -142,6 +160,20 @@ def _corners(x):
     views, in row-major window order; an odd last row or column is dropped."""
     h2, w2 = x.shape[2] // 2, x.shape[3] // 2
     return [x[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
+
+
+class _ConvViews(NamedTuple):
+    """A convolution's views on its buffers, for one batch size."""
+
+    interior: np.ndarray  # the padded input's interior, which forward fills
+    windows: np.ndarray  # the (batch, c, h, w, 3, 3) windows backward reads
+    cols_dst: np.ndarray  # the im2col rows as (step, step, c, 3, 3, batch, bh, bw)
+    cols_src: np.ndarray  # the padded input's windows in that order
+    ones: np.ndarray  # the im2col's last row
+    cols: np.ndarray  # (blocks, c*9 + 1, columns): the gemm's right operand
+    out: np.ndarray  # (blocks, f, columns): the gemm's output
+    blocks: tuple  # each output block as a (batch, f, bh, bw) view
+    shape: tuple  # the output's (batch, f, h, w)
 
 
 class Network:
@@ -158,7 +190,21 @@ class Network:
         self.input_shape = tuple(input_shape)
         self.dtype = dtype
         shapes = self._chain_shapes()
+        # the layer plan, (kind, window-major, relu) per layer: a conv3 that
+        # a maxpool2 reads writes window-major blocks, which the pool
+        # reduces, and the conv's activation runs after the pool, on its
+        # quarter-size output (the trailing None ends the chain both ways)
+        kinds = [spec.kind for spec in self.layers] + [None]
+        self._plan: list[tuple[str, bool, bool]] = []
+        for i, spec in enumerate(self.layers):
+            feeds_pool = spec.kind == "conv3" and kinds[i + 1] == "maxpool2"
+            pools_conv = spec.kind == "maxpool2" and kinds[i - 1] == "conv3"
+            activation = ("none" if feeds_pool else self.layers[i - 1].activation
+                          if pools_conv else spec.activation)
+            self._plan.append((spec.kind, feeds_pool or pools_conv,
+                               activation == "relu"))
         self._buffers: dict[tuple[str, int], np.ndarray] = {}
+        self._views: dict[tuple[int, int], _ConvViews | tuple] = {}
         rng = np.random.default_rng(seed)
         self.params: list[tuple[np.ndarray, np.ndarray] | None] = []
         for spec, in_shape in zip(self.layers, [self.input_shape] + shapes[:-1]):
@@ -220,11 +266,13 @@ class Network:
     def _buffer(self, key, shape) -> np.ndarray:
         """A C-contiguous array of the given shape: a reshaped leading slice
         of this network's one flat buffer for key, which grows to the largest
-        size asked for."""
+        size asked for. A new buffer starts zeroed; replacing one drops the
+        views prepared on layer key[1]'s buffers."""
         size = math.prod(shape)
         buf = self._buffers.get(key)
         if buf is None or buf.size < size:
-            buf = self._buffers[key] = np.empty(size, dtype=self.dtype)
+            buf = self._buffers[key] = np.zeros(size, dtype=self.dtype)
+            self._views = {k: v for k, v in self._views.items() if k[0] != key[1]}
         return buf[:size].reshape(shape)
 
     def _reshape(self, x, shape, key):
@@ -241,20 +289,48 @@ class Network:
             np.copyto(buf, x)
             return buf.reshape(shape), True
 
-    def _feeds_pool(self, i):
-        """Whether layer i is a conv3 that a maxpool2 reads: its output is
-        then window-major, and its activation runs after the pool."""
-        return (0 <= i < len(self.layers) - 1 and self.layers[i].kind == "conv3"
-                and self.layers[i + 1].kind == "maxpool2")
+    def _prepared(self, i, shape):
+        """Layer i's views for an input of this shape (a conv's _ConvViews, a
+        pool's output and temporary), built once per batch size."""
+        views = self._views.get((i, shape[0]))
+        if views is None:
+            conv = self._plan[i][0] == "conv3"
+            build = self._conv_views if conv else self._pool_views
+            views = self._views[(i, shape[0])] = build(i, shape)
+        return views
 
-    def _activation(self, i):
-        """The activation run after layer i: a conv's moves past the max-pool
-        that reads it, onto the pool's quarter-size output."""
-        if self._feeds_pool(i):
-            return "none"
-        if self._feeds_pool(i - 1):
-            return self.layers[i - 1].activation
-        return self.layers[i].activation
+    def _conv_views(self, i, shape):
+        batch, c, h, wd = shape
+        f = self.layers[i].units
+        # channel-major im2col with a leading block axis: one block of every
+        # pixel (n, y, x), or, when a max-pool reads the output, one block
+        # per window corner, in row-major corner order, of every window
+        # (n, y2, x2). Row (c, i, j) of a block holds each column's
+        # padded[n, c, y + i, x + j]; a last row of ones carries the bias,
+        # which the gemm then adds last
+        step = 2 if self._plan[i][1] else 1
+        blocks, bh, bw = step * step, h // step, wd // step
+        padded = self._buffer(("padded", i), (batch, c, h + 2, wd + 2))
+        cols = self._buffer(("im2col", i), (blocks, c * 9 + 1, batch * bh * bw))
+        out = self._buffer(("conv", i), (blocks, f, batch * bh * bw))
+        return _ConvViews(
+            interior=padded[:, :, 1 : h + 1, 1 : wd + 1],
+            windows=_windows(padded, 1)[0, 0],
+            cols_dst=cols[:, :-1].reshape(step, step, c, 3, 3, batch, bh, bw),
+            cols_src=_windows(padded, step).transpose(0, 1, 3, 6, 7, 2, 4, 5),
+            ones=cols[:, -1],
+            cols=cols,
+            out=out,
+            # C-contiguous at batch 1
+            blocks=tuple(
+                out.reshape(blocks, f, batch, bh, bw).transpose(0, 2, 1, 3, 4)),
+            shape=(batch, f, h, wd),
+        )
+
+    def _pool_views(self, i, shape):
+        batch, c, h, wd = shape
+        pooled = (batch, c, h // 2, wd // 2)
+        return self._buffer(("pool", i), pooled), self._buffer(("pool_tmp", i), pooled)
 
     def forward(self, x: np.ndarray):
         """x is (batch, *input_shape); returns (output, caches)."""
@@ -265,31 +341,32 @@ class Network:
             )
         caches = []
         owned = False  # x lives in one of this network's buffers
-        for i, (spec, params) in enumerate(zip(self.layers, self.params)):
-            if spec.kind == "conv3":
-                pooled = self._feeds_pool(i)
-                blocks, cache = self._conv_forward(i, x, *params, pooled)
-                # a pool after it gets the corner blocks and the output shape
-                shape = (len(x), spec.units) + x.shape[2:]
-                x = (blocks, shape) if pooled else blocks[0]
+        for i, ((kind, window_major, relu), params) in enumerate(
+                zip(self._plan, self.params)):
+            if kind == "conv3":
+                views = cache = self._prepared(i, x.shape)
+                self._conv_forward(views, x, *params)
+                # a pool after it reads all the corner blocks
+                x = views if window_major else views.blocks[0]
                 owned = True
-            elif spec.kind == "maxpool2":
-                if self._feeds_pool(i - 1):
-                    corners, shape = x
+            elif kind == "maxpool2":
+                if window_major:
+                    corners, shape = x.blocks, x.shape
                 else:
                     corners, shape = _corners(x), x.shape
-                x, cache = self._pool_forward(corners, shape)
-                owned = False
-            elif spec.kind == "flatten":
+                x = self._pool_forward(corners, *self._prepared(i, shape))
+                cache = (shape, corners, x)
+                owned = True
+            elif kind == "flatten":
                 cache = x.shape
                 x, copied = self._reshape(x, (len(x), -1), ("flatten", i))
                 owned = owned or copied
-            elif spec.kind == "dense":
+            elif kind == "dense":
                 w, b = params
                 cache = x
                 x = x @ w.T + b
                 owned = False
-            if self._activation(i) == "relu":
+            if relu:
                 # in place: a ReLU follows a conv3, a dense layer or the pool
                 # of a conv3, whose output is a fresh array or a buffer
                 np.maximum(x, 0.0, out=x)
@@ -308,23 +385,23 @@ class Network:
                      len(self.layers))
         last = 0 if input_grad else first
         for i in range(len(self.layers) - 1, last - 1, -1):
-            spec, cache = self.layers[i], caches[i]
+            (kind, _, relu), cache = self._plan[i], caches[i]
             need_dx = input_grad or i > first
-            relu = self._activation(i) == "relu"
             if relu:
                 cache, act = cache
                 # a conv3 output is its layer's buffer, dead once the mask is
-                # taken, so the 0/1 mask goes there
-                mask = np.greater(act, 0, out=act) if spec.kind == "conv3" else act > 0
+                # taken, so the 0/1 mask goes there; a pool's output is still
+                # read by its backward
+                mask = np.greater(act, 0, out=act) if kind == "conv3" else act > 0
                 np.multiply(grad, mask, out=grad)
-            if spec.kind == "conv3":
+            if kind == "conv3":
                 grads[i], grad = self._conv_backward(i, grad, cache,
                                                      self.params[i][0], need_dx)
-            elif spec.kind == "maxpool2":
+            elif kind == "maxpool2":
                 grad = self._pool_backward(grad, *cache, relu)
-            elif spec.kind == "flatten":
+            elif kind == "flatten":
                 grad = grad.reshape(cache)
-            elif spec.kind == "dense":
+            elif kind == "dense":
                 x = cache
                 w = self.params[i][0]
                 grads[i] = (grad.T @ x, grad.sum(axis=0))
@@ -342,35 +419,22 @@ class Network:
                     grad = grad @ w
         return grads, (grad if input_grad else None)
 
-    def _conv_forward(self, i, x, w, b, pooled):
-        batch, c, h, wd = x.shape
-        f = w.shape[0]
-        # channel-major im2col with a leading block axis: one block of every
-        # pixel (n, y, x), or, when a max-pool reads the output, one block
-        # per window corner, in row-major corner order, of every window
-        # (n, y2, x2). Row (c, i, j) of a block holds each column's
-        # padded[n, c, y + i, x + j]; a last row of ones carries the bias,
-        # which the gemm then adds last
-        step = 2 if pooled else 1
-        blocks, bh, bw = step * step, h // step, wd // step
-        cols = self._buffer(("im2col", i), (blocks, c * 9 + 1, batch * bh * bw))
-        np.copyto(cols[:, :-1].reshape(step, step, c, 3, 3, batch, bh, bw),
-                  _windows(x, step).transpose(0, 1, 3, 6, 7, 2, 4, 5))
-        cols[:, -1] = 1.0
-        wb = np.concatenate((w.reshape(f, c * 9), b[:, None]), axis=1)
-        out = np.matmul(wb, cols,
-                        out=self._buffer(("conv", i), (blocks, f, batch * bh * bw)))
-        # each block as a (batch, f, bh, bw) view, C-contiguous at batch 1
-        return out.reshape(blocks, f, batch, bh, bw).transpose(0, 2, 1, 3, 4), x
+    def _conv_forward(self, views, x, w, b):
+        # only the interior of the padded input: its border stays zero
+        np.copyto(views.interior, x)
+        np.copyto(views.cols_dst, views.cols_src)
+        views.ones.fill(1.0)
+        wb = np.concatenate((w.reshape(len(w), -1), b[:, None]), axis=1)
+        np.matmul(wb, views.cols, out=views.out)
 
-    def _conv_backward(self, i, grad, x, w, input_grad):
-        batch, c, h, wd = x.shape
+    def _conv_backward(self, i, grad, views, w, input_grad):
+        batch, c, h, wd = views.interior.shape
         f = w.shape[0]
         # the row-major patches and the NHWC gradient of a fresh im2col, so
-        # that dw and db keep their bits; the patches go in the buffer that
-        # held the columns, the NHWC copy in the layer's output buffer, both
-        # dead by now
-        windows = _windows(x)[0, 0]
+        # that dw and db keep their bits; the patches come from the forward's
+        # padded input and go in the buffer that held the columns, the NHWC
+        # copy in the layer's output buffer, both dead by now
+        windows = views.windows
         patches = self._buffer(("im2col", i), (batch, h, wd, c, 3, 3))
         # one copy per window offset: its rows run along x on both sides
         for di in range(3):
@@ -397,14 +461,13 @@ class Network:
                 ].transpose(0, 3, 1, 2)
         return (dw, db), dpadded[:, :, 1 : h + 1, 1 : wd + 1]
 
-    def _pool_forward(self, corners, shape):
+    def _pool_forward(self, corners, out, tmp):
         # the first maximum in row-major window order: maximum() keeps its
         # second argument on a tie and returns a NaN it meets. The output is
-        # a fresh C-order array, so a flatten after it is a view.
+        # a C-order buffer, so a flatten after it is a view.
         c0, c1, c2, c3 = corners
-        out = np.maximum(c3, c2, out=np.empty(c3.shape, dtype=self.dtype))
-        np.maximum(out, np.maximum(c1, c0), out=out)
-        return out, (shape, corners, out)
+        np.maximum(c3, c2, out=out)
+        return np.maximum(out, np.maximum(c1, c0, out=tmp), out=out)
 
     def _pool_backward(self, grad, shape, corners, out, relu):
         # each window's gradient goes to its first corner equal to the max,

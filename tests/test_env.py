@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +226,21 @@ def test_reward_uses_total_duration_not_remaining():
     env.step(0)  # two of five rows elapsed, three remaining
     reward, _ = env.advance_time()
     assert reward == pytest.approx(-0.2)
+
+
+def test_reward_adds_left_to_right_whatever_the_python_version():
+    """Running, queued and backlog durations 1, 3 and 1: added left to right
+    the reward is -2.333333333333333. The correctly rounded sum, which
+    Python 3.12's compensated sum() returns, ends in 5; a pinned digest must
+    not depend on the interpreter."""
+    env = make_env(queue_slots=1).reset(
+        [job(0, duration=1), job(1, duration=3), job(2, duration=1)])
+    env.step(1)
+    assert ([j.duration for j in env.running], env.queue[0].duration,
+            [j.duration for j in backlog(env)]) == ([1], 3, [1])
+    reward, _ = env.advance_time()
+    assert reward == -2.333333333333333
+    assert -math.fsum([1.0, 1 / 3, 1.0]) == -2.3333333333333335
 
 
 def test_completion_lifecycle():

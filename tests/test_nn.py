@@ -361,11 +361,19 @@ ORACLE_CASES = (
 
 @pytest.mark.parametrize("arch, shape", ORACLE_CASES)
 def test_chain_matches_fresh_array_oracle_bit_for_bit(arch, shape):
-    net = Network(ORACLE_CHAINS[arch], input_shape=shape, seed=3, init_scale=0.5)
     rng = np.random.default_rng(11)
     # one network over changing batch sizes: a stale or wrongly sliced
-    # buffer shows as a mismatch
-    for step, batch in enumerate((6, 1, 5, 6, 2)):
+    # buffer shows as a mismatch. Starting at the largest batch, no buffer
+    # grows after its first use; starting small, each grows after views
+    # were built on it, so batch 1 runs again on views built anew
+    for batches in ((6, 1, 5, 6, 2), (1, 6, 1, 5, 2)):
+        net = Network(ORACLE_CHAINS[arch], input_shape=shape, seed=3,
+                      init_scale=0.5)
+        _check_against_oracle(net, arch.endswith("_critic"), shape, batches, rng)
+
+
+def _check_against_oracle(net, critic, shape, batches, rng):
+    for step, batch in enumerate(batches):
         if shape == STATE_SHAPE:
             x = (rng.random((batch,) + shape) < 0.3).astype(np.float32)
         else:
@@ -374,7 +382,7 @@ def test_chain_matches_fresh_array_oracle_bit_for_bit(arch, shape):
         input_grad = step % 2 == 1
         out, caches = net.forward(x)
         grad_out = rng.standard_normal(out.shape)
-        if arch.endswith("_critic"):
+        if critic:
             grad_out[-1] = 0.0  # the bootstrap row of ActorCriticAgent.update
         grads, dx = net.backward(caches, grad_out, input_grad=input_grad)
         want_out, want_grads, want_dx = chain_oracle(net, x, grad_out)
@@ -545,21 +553,63 @@ def test_one_filter_bias_gradient_from_a_conv_keeps_its_bits(shape):
         assert_same_bits(grads[0][1], want_grads[0][1])
 
 
+def _prepared_arrays(net):
+    """Every array in the network's prepared views."""
+    for views in net._views.values():
+        for field in views:
+            for view in field if isinstance(field, tuple) else [field]:
+                if isinstance(view, np.ndarray):
+                    yield view
+
+
 @pytest.mark.parametrize("arch", ["conv16", "conv32_pool"])
 def test_buffers_do_not_grow_with_batch_sizes_seen(arch):
     """A buffer serves every batch size from one flat array: after batches
-    6, 1, 5 and 2 the network holds as many buffer bytes as after 6 alone."""
-    net = Network(ORACLE_CHAINS[arch], input_shape=STATE_SHAPE, seed=3)
+    6, 1, 5 and 2 the network holds as many buffer bytes as after 6 alone,
+    whether or not a smaller batch came first. A buffer that grew leaves no
+    prepared view on the array it replaced, which would keep it alive."""
     rng = np.random.default_rng(4)
+    for first in ((), (1,)):
+        net = Network(ORACLE_CHAINS[arch], input_shape=STATE_SHAPE, seed=3)
 
-    def step(batch):
-        x = (rng.random((batch,) + STATE_SHAPE) < 0.3).astype(np.float32)
-        out, caches = net.forward(x)
-        net.backward(caches, rng.standard_normal(out.shape))
-        return sum(buf.nbytes for buf in net._buffers.values())
+        def step(batch):
+            x = (rng.random((batch,) + STATE_SHAPE) < 0.3).astype(np.float32)
+            out, caches = net.forward(x)
+            net.backward(caches, rng.standard_normal(out.shape))
+            buffers = list(net._buffers.values())
+            for view in _prepared_arrays(net):
+                assert any(np.shares_memory(view, buf) for buf in buffers)
+            return sum(buf.nbytes for buf in buffers)
 
-    after_six = step(6)
-    assert [step(batch) for batch in (1, 5, 2)] == [after_six] * 3
+        for batch in first:
+            step(batch)
+        after_six = step(6)
+        assert [step(batch) for batch in (1, 5, 2)] == [after_six] * 3
+
+
+@pytest.mark.parametrize("arch", sorted(ORACLE_CHAINS))
+def test_padded_border_stays_zero_after_a_larger_batch(arch):
+    """A conv copies only the interior of its padded input, so the border of
+    the buffer must stay zero: after the forward and backward of an all-ones
+    batch of 6, those of batch 1 give a fresh network's bits."""
+    used = Network(ORACLE_CHAINS[arch], input_shape=STATE_SHAPE, seed=3,
+                   init_scale=0.5)
+    fresh = Network(ORACLE_CHAINS[arch], input_shape=STATE_SHAPE, seed=3,
+                    init_scale=0.5)
+    out, caches = used.forward(np.ones((6,) + STATE_SHAPE, dtype=np.float32))
+    used.backward(caches, np.ones(out.shape), input_grad=True)
+    rng = np.random.default_rng(6)
+    x = (rng.random((1,) + STATE_SHAPE) < 0.3).astype(np.float32)
+    got, want = used.forward(x), fresh.forward(x)
+    assert_same_bits(got[0], want[0])
+    grad_out = rng.standard_normal(got[0].shape)
+    got_grads, got_dx = used.backward(got[1], grad_out, input_grad=True)
+    want_grads, want_dx = fresh.backward(want[1], grad_out, input_grad=True)
+    assert_same_bits(got_dx, want_dx)
+    for got_g, want_g in zip(got_grads, want_grads):
+        if got_g is not None:
+            assert_same_bits(got_g[0], want_g[0])
+            assert_same_bits(got_g[1], want_g[1])
 
 
 @pytest.mark.parametrize("layers", [
