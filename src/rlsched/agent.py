@@ -281,16 +281,16 @@ def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs,
     rewards: list[float] = []
     total_reward = 0.0
     diags: list[dict] = []
-    while not env.is_done():
+    done = env.is_done()
+    while not done:
         action = agent.act(obs)
         outcome = env.step(action)
+        done = outcome.done
         next_obs = env.encode_state()
         rewards.append(outcome.reward)
         total_reward += outcome.reward
-        segment.append(
-            Transition(obs, action, outcome.reward, next_obs, outcome.done)
-        )
-        if len(segment) >= cfg.n_steps or outcome.done:
+        segment.append(Transition(obs, action, outcome.reward, next_obs, done))
+        if len(segment) >= cfg.n_steps or done:
             diags.append(agent.update(segment))
             segment = []
         obs = next_obs

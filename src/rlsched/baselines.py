@@ -8,6 +8,7 @@ reserving future rows is left to the learned agent.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -34,19 +35,20 @@ def tetris_select(env: ClusterEnv) -> int:
     when nothing fits.
 
     Free units and demands are small integers, so their sums of squares and
-    dot products are exact in Python integers, and `math.sqrt` and the one
-    division round exactly as the float64 norm and dot product would."""
+    dot products, taken with `sum(map(operator.mul, ...))`, are exact in
+    Python integers, and `math.sqrt` and the one division round exactly as
+    the float64 norm and dot product would."""
+    mul = operator.mul
     free = [cap - col[0] for cap, col in
             zip(env.config.capacities, env.image.columns)]
-    free_norm = math.sqrt(sum(f * f for f in free))
+    free_norm = math.sqrt(sum(map(mul, free, free)))
 
     def score(pair) -> float:
-        demand = pair[1].demand
-        norm = free_norm * math.sqrt(sum(d * d for d in demand))
-        alignment = (
-            sum(f * d for f, d in zip(free, demand)) / norm if norm > 0 else 0.0
-        )
-        return alignment + LAM_SHORT / pair[1].duration
+        job = pair[1]
+        demand = job.demand
+        norm = free_norm * math.sqrt(sum(map(mul, demand, demand)))
+        alignment = sum(map(mul, free, demand)) / norm if norm > 0 else 0.0
+        return alignment + LAM_SHORT / job.duration
 
     return max(env.fitting_jobs(), key=score, default=VOID)[0]
 
@@ -81,7 +83,9 @@ def run_greedy(policy, env: ClusterEnv, jobs, gamma: float) -> EpisodeReport:
     time."""
     env.reset(jobs)
     rewards = []
-    while not env.is_done():
+    done = env.is_done()
+    while not done:
         outcome = env.step(policy(env))
         rewards.append(outcome.reward)
+        done = outcome.done
     return episode_report(env.completed, rewards, gamma, total_jobs=len(env.jobs))

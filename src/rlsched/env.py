@@ -10,11 +10,13 @@ step.
 Placement always takes a row's lowest free cells, and a row is freed only
 when it scrolls off the top of the image, so every row is a filled prefix.
 The image is therefore stored as one Python list of per-row used counts per
-resource, and drawn as cells only when the observation is encoded. The fit
-search reads these lists with plain integer arithmetic, and the encoder takes
-each drawn row from a per-capacity table of row patterns, indexed by the
-count; a (horizon, resource) array of the same counts is built from them,
-read-only, for `free_counts` and for inspection.
+resource, and drawn as cells only when the observation is encoded. The one
+fit rule, `ClusterImage.fits_at`, reads these lists with plain integer
+arithmetic: the candidate list, the earliest-offset search and the placement
+check each call it once per window they test. The encoder takes each drawn
+row from a per-capacity table of row patterns, indexed by the count; a
+(horizon, resource) array of the same counts is built from them, read-only,
+for `free_counts` and for inspection.
 """
 from __future__ import annotations
 
@@ -111,28 +113,27 @@ class ClusterImage:
         """(horizon, num_resources) array of free cells per row."""
         return np.subtract(self.config.capacities, self.used)
 
-    def _window_fits(self, job: Job, offset: int) -> bool:
-        """Whether the job's rows from `offset` on lie within the horizon and
-        have room for its demand; callers keep `offset` non-negative."""
+    def fits_at(self, job: Job, offset: int) -> bool:
+        """The one fit rule: whether the job's rows from `offset` on lie
+        within the horizon and have room for its demand. A negative offset
+        never fits."""
         end = offset + job.duration
-        if end > self.config.horizon:
+        if offset < 0 or end > self.config.horizon:
             return False
         for col, d, cap in zip(self.columns, job.demand, self.config.capacities):
             if max(col[offset:end]) + d > cap:
                 return False
         return True
 
-    def fits_at(self, job: Job, offset: int) -> bool:
-        return offset >= 0 and self._window_fits(job, offset)
-
     def earliest_offset(self, job: Job) -> int | None:
-        starts = range(self.config.horizon - job.duration + 1)
-        return next((o for o in starts if self._window_fits(job, o)), None)
+        fits_at = self.fits_at
+        for offset in range(self.config.horizon - job.duration + 1):
+            if fits_at(job, offset):
+                return offset
+        return None
 
     def place(self, job: Job, offset: int) -> None:
-        assert offset >= 0 and self._window_fits(job, offset), (
-            "placement exceeds capacity"
-        )
+        assert self.fits_at(job, offset), "placement exceeds capacity"
         end = offset + job.duration
         for col, d in zip(self.columns, job.demand):
             col[offset:end] = [u + d for u in col[offset:end]]
@@ -200,9 +201,12 @@ class ClusterEnv:
 
     def _rebalance(self) -> None:
         """Fill each empty slot, lowest first, from the head of `waiting`."""
+        waiting = self.waiting
+        if not waiting:
+            return
         for i, job in enumerate(self.queue):
-            if job is None and self.waiting:
-                self.queue[i] = self.waiting.popleft()
+            if job is None and waiting:
+                self.queue[i] = waiting.popleft()
 
     # -- scheduling -----------------------------------------------------------
 
@@ -219,15 +223,15 @@ class ClusterEnv:
         """One simulated step: reward for the elapsed step (computed before
         any mutation), then image shift, completions, arrivals, promotion."""
         reward = self._step_reward()
-        self.clock += 1
+        clock = self.clock = self.clock + 1
         self.image.shift_up()
 
         completions = [
             job for job in self.running
-            if job.started_at + job.duration == self.clock
+            if job.started_at + job.duration == clock
         ]
         for job in completions:
-            job.finished_at = self.clock
+            job.finished_at = clock
             self.running.remove(job)
             self.completed.append(job)
 
@@ -254,7 +258,8 @@ class ClusterEnv:
         """Apply one action. Valid allocations do not advance time; the void
         action, an empty slot, or an unfittable job advance time by one step."""
         n = self.config.num_actions
-        if not isinstance(action, (int, np.integer)) or action < 0 or action >= n:
+        if (not isinstance(action, (int, np.integer)) or isinstance(action, bool)
+                or action < 0 or action >= n):
             raise InvalidActionError(f"action must be in [0, {n - 1}], got {action!r}")
         if self.is_done():
             raise EpisodeFinished("step() called on a finished episode")
@@ -273,9 +278,7 @@ class ClusterEnv:
                 invalid = True
                 reward, _ = self.advance_time()
 
-        return StepOutcome(
-            reward=reward, done=self.is_done(), info={"invalid_action": invalid}
-        )
+        return StepOutcome(reward, self.is_done(), {"invalid_action": invalid})
 
     def is_done(self) -> bool:
         return len(self.completed) == len(self.jobs) or (
@@ -319,5 +322,6 @@ class ClusterEnv:
     def fitting_jobs(self) -> list[tuple[int, Job]]:
         """The one fits-now rule: (action, job), lowest action first, for
         each queued job that fits at offset 0; `step(action)` starts it now."""
+        fits_at = self.image.fits_at
         return [(a, j) for a, j in enumerate(self.queue, start=1)
-                if j is not None and self.image.fits_at(j, 0)]
+                if j is not None and fits_at(j, 0)]

@@ -90,7 +90,8 @@ def random_stress(env, spec_factory, steps, seed, visit=None):
                 visit(env, rng)
                 check_invariants(env)
             action = int(rng.integers(env.config.num_actions))
-            env.step(action)
+            outcome = env.step(action)
+            assert outcome.done == env.is_done(), "outcome.done disagrees"
             check_invariants(env)
             executed += 1
     return executed

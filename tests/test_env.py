@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlsched.config import EnvConfig
-from rlsched.env import ClusterEnv, Job
+from rlsched.env import ClusterEnv, ClusterImage, Job
 from rlsched.errors import (
     ConfigError, EpisodeFinished, InvalidActionError, ValidationError,
 )
@@ -184,6 +184,10 @@ def test_out_of_range_action_raises():
         env.step(6)
     with pytest.raises(InvalidActionError):
         env.step(-1)
+    for flag in (True, False, np.True_):  # bool subclasses int; not an action
+        with pytest.raises(InvalidActionError):
+            env.step(flag)
+    assert env.clock == 0 and env.queue[0].id == 0 and not env.running
 
 
 def test_step_on_finished_episode_raises():
@@ -438,6 +442,13 @@ def test_fit_search_and_encoding_match_job_records(scenario):
             assert [env.image.fits_at(queued, o) for o in offsets] == fits
             first = offsets[fits.index(True)] if True in fits else None
             assert env.image.earliest_offset(queued) == first
+        assert env.fitting_jobs() == [
+            (a, j) for a, j in enumerate(env.queue, start=1)
+            if j is not None and all(
+                used[k, r] + d <= cap
+                for k in range(j.duration)
+                for r, (d, cap) in enumerate(zip(j.demand, cfg.capacities)))
+        ]
         obs = env.encode_state()
         col = 0
         for r, cap in enumerate(cfg.capacities):
@@ -475,6 +486,35 @@ def test_place_refuses_a_window_without_room():
     with pytest.raises(AssertionError, match="placement exceeds capacity"):
         env.image.place(job(1, duration=2, demand=(1, 1)), 19)
     assert env.image.columns[0][:3] == [3, 3, 0]
+
+
+def test_every_fit_test_is_one_fits_at_call(monkeypatch):
+    """`fits_at` is the one fit rule: `fitting_jobs()` calls it once per
+    queued job, and a step that starts a job calls it twice, for the offset-0
+    search and for the placement check. A wrapper around it (as a traced run
+    installs) therefore sees every fit test."""
+    assert not hasattr(ClusterImage, "_window_fits")
+    calls = []
+    fits_at = ClusterImage.fits_at
+
+    def counted(self, queued, offset):
+        calls.append((queued.id, offset))
+        return fits_at(self, queued, offset)
+
+    monkeypatch.setattr(ClusterImage, "fits_at", counted)
+    env = make_env(capacities=(4, 4), queue_slots=3).reset([
+        job(0, duration=2, demand=(3, 1)), job(1, demand=(2, 2)), job(2)])
+    a, b, c = env.queue
+    assert env.fitting_jobs() == [(1, a), (2, b), (3, c)]
+    assert calls == [(0, 0), (1, 0), (2, 0)]
+
+    calls.clear()
+    env.step(1)
+    assert a.started_at == 0 and calls == [(0, 0), (0, 0)]
+
+    calls.clear()
+    assert env.fitting_jobs() == [(3, c)]  # job 1 no longer fits; slot 1 is empty
+    assert calls == [(1, 0), (2, 0)]
 
 
 # -- reset returns the environment ------------------------------------------------
