@@ -314,8 +314,7 @@ def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs,
 
 
 def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
-          episodes: int, seed: int = 0, checkpoint_dir: str | Path | None = None,
-          log_path: str | Path | None = None):
+          episodes: int, seed: int = 0, log_path: str | Path | None = None):
     """Algorithm: loop over episodes, cycling through the given job
     sequences, sampling actions from the current policy and updating both
     networks every n_steps transitions. Deterministic given the seed.
@@ -350,6 +349,4 @@ def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
         else:
             for _ in rows():
                 pass
-    if checkpoint_dir:
-        agent.save(checkpoint_dir)
     return records, agent

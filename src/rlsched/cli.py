@@ -9,7 +9,6 @@ machine-readable JSON error line to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -17,9 +16,8 @@ from pathlib import Path
 
 from . import __version__
 from .agent import ARCHITECTURE_NAMES, AgentConfig, train
-from .baselines import POLICY_KINDS, make_policy, run_greedy
-from .config import EnvConfig, check_seed, from_section, read_yaml, section_values
-from .env import ClusterEnv
+from .baselines import POLICY_KINDS
+from .config import EnvConfig, from_section, read_yaml, section_values
 from .errors import ConfigError, RlschedError
 from .experiment import (
     EPISODE_COLUMNS,
@@ -31,10 +29,14 @@ from .experiment import (
     summarize,
 )
 from .metrics import write_csv
-from .workload import WorkloadSpec, derived_seed, generate
+from .workload import WorkloadSpec, draw_sequences
 
 # `evaluate --out` writes the sweep's episode columns without the cell keys
 EVALUATE_COLUMNS = EPISODE_COLUMNS[EPISODE_COLUMNS.index("episode"):]
+
+# `train` draws its job lists with the key (seed, TRAINING_KEY), apart from
+# every sweep cell's (seed, rate index)
+TRAINING_KEY = 7919
 
 
 @dataclass(frozen=True)
@@ -90,16 +92,6 @@ def _split(flag: str | None):
     return flag.split(",") if flag else None
 
 
-def _training_sequences(env_cfg, workload, count, seed):
-    check_seed(seed)
-    return [
-        generate(
-            dataclasses.replace(workload, seed=derived_seed(seed, 7919, k)), env_cfg
-        )
-        for k in range(count)
-    ]
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -108,25 +100,21 @@ def cmd_train(args) -> int:
                                   architecture=args.arch)
     env_cfg, workload, agent_cfg = sections.values()
     spec = section(raw, "train", episodes=args.episodes)
-    sequences = _training_sequences(env_cfg, workload, spec.sequences, args.seed)
+    sequences = draw_sequences(workload, env_cfg, spec.sequences, args.seed,
+                               TRAINING_KEY)
     out = Path(args.out)
     checkpoint = out / "checkpoints" / "final"
-    records, agent = train(
-        env_cfg,
-        sequences,
-        agent_cfg,
-        episodes=spec.episodes,
-        seed=args.seed,
-        checkpoint_dir=checkpoint,
-        log_path=out / "training_log.csv",
-    )
-
-    env = ClusterEnv(env_cfg)
-    policy = make_policy("a2c", agent=agent)
-    greedy = summarize([
-        dataclasses.asdict(run_greedy(policy, env, jobs, agent_cfg.gamma))
-        for jobs in sequences
-    ])
+    records, agent = train(env_cfg, sequences, agent_cfg,
+                           episodes=spec.episodes, seed=args.seed,
+                           log_path=out / "training_log.csv")
+    agent.save(checkpoint)
+    # the saved checkpoint, scored as `evaluate --policy a2c` scores one
+    greedy = summarize(run_cell(
+        ExperimentSpec(policies=("a2c",), job_rates=(workload.rate,),
+                       seeds=(args.seed,), episodes=len(sequences),
+                       env=env_cfg, workload=workload, agent=agent_cfg,
+                       checkpoint=str(checkpoint)),
+        "a2c", 0, args.seed, sequences))
     print(
         json.dumps(
             {

@@ -2,10 +2,11 @@
 plot-ready series.
 
 Every cell is a pure function of the spec and its seeds: `cell_sequences`
-draws each episode's jobs from a seed derived from (seed, rate index,
-episode), so re-running a sweep reproduces the result files byte for byte.
-A sweep draws each (rate, seed)'s sequences once and every policy runs those
-same lists, which keeps cross-policy comparisons paired.
+draws each episode's jobs by `workload.draw_sequences`, from a seed derived
+from (seed, rate index, episode), so re-running a sweep reproduces the
+result files byte for byte. A sweep draws each (rate, seed)'s sequences
+once and every policy runs those same lists, which keeps cross-policy
+comparisons paired.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .config import EnvConfig, check_seed
 from .env import ClusterEnv, Job
 from .errors import ConfigError
 from .metrics import EpisodeReport, format_cell, read_csv, write_csv
-from .workload import WorkloadSpec, derived_seed, generate, validate_spec
+from .workload import WorkloadSpec, draw_sequences, validate_spec
 
 EPISODE_COLUMNS = ("policy", "job_rate", "seed", "episode") + tuple(
     f.name for f in dataclasses.fields(EpisodeReport)
@@ -94,13 +95,11 @@ def cell_sequences(spec: ExperimentSpec, rate_index: int,
                    seed: int) -> list[list[Job]]:
     """One job list per episode for the cells at (rate, seed); every policy
     of those cells runs the same lists. The rate is
-    spec.job_rates[rate_index]. The one seed rule of sweep and evaluate."""
-    workload = dataclasses.replace(spec.workload, rate=spec.job_rates[rate_index])
-    return [
-        generate(dataclasses.replace(
-            workload, seed=derived_seed(seed, rate_index, episode)), spec.env)
-        for episode in range(spec.episodes)
-    ]
+    spec.job_rates[rate_index] and the `draw_sequences` key (seed,
+    rate_index)."""
+    return draw_sequences(
+        dataclasses.replace(spec.workload, rate=spec.job_rates[rate_index]),
+        spec.env, spec.episodes, seed, rate_index)
 
 
 def run_cell(spec: ExperimentSpec, policy_kind: str, rate_index: int,

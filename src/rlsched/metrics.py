@@ -107,12 +107,13 @@ def discounted_total(rewards, gamma: float) -> float:
     return total
 
 
-def episode_report(outcomes, rewards, gamma: float, total_jobs: int | None = None):
+def episode_report(outcomes, rewards, gamma: float, total_jobs: int):
     """Aggregate one episode. `outcomes` are completed jobs; `rewards` is the
-    per-step reward sequence in step order."""
+    per-step reward sequence in step order; `total_jobs` is the episode's job
+    count, so the report is truncated when fewer completed."""
     completed = list(outcomes)
     n = len(completed)
-    truncated = total_jobs is not None and n < total_jobs
+    truncated = n < total_jobs
     if n == 0:
         return EpisodeReport(0, truncated, None, None, None,
                              discounted_total(rewards, gamma))

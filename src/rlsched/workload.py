@@ -8,7 +8,7 @@ queueing contention at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +101,18 @@ def generate(spec: WorkloadSpec, config: EnvConfig) -> list[Job]:
             Job(id=len(jobs), arrival=t, duration=duration, demand=tuple(demand))
         )
     return jobs
+
+
+def draw_sequences(spec: WorkloadSpec, config: EnvConfig, count: int,
+                   *key: int) -> list[list[Job]]:
+    """`count` job lists from `spec`, list k seeded by `derived_seed(*key, k)`:
+    the one seed rule. A sweep cell's key is (seed, rate index) and a
+    training run's is (seed, `cli.TRAINING_KEY`). Every key int is checked
+    with `check_seed`, even when `count` is 0."""
+    for part in key:
+        check_seed(part)
+    return [generate(replace(spec, seed=derived_seed(*key, k)), config)
+            for k in range(count)]
 
 
 # -- trace files ---------------------------------------------------------------

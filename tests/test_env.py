@@ -541,6 +541,31 @@ def test_invariants_under_random_actions():
     assert executed == 3000
 
 
+def test_invariants_under_random_actions_through_truncation():
+    """Episodes cut at a small episode_limit: each truncating step reports
+    done, as is_done() does, while jobs are still unfinished."""
+    import dataclasses
+    from invariants import random_stress
+    from rlsched.workload import WorkloadSpec
+
+    env = ClusterEnv(EnvConfig(episode_limit=15))
+    step = env.step
+    truncated = []
+
+    def recording_step(action):
+        outcome = step(action)
+        if outcome.done and len(env.completed) < len(env.jobs):
+            truncated.append(env.clock)
+        return outcome
+
+    env.step = recording_step
+    # arrivals run to step 40, past the limit, so episodes end truncated
+    spec = WorkloadSpec(rate=0.7, length=40)
+    random_stress(env, lambda s: dataclasses.replace(spec, seed=s),
+                  steps=600, seed=7)
+    assert set(truncated) == {15}
+
+
 def test_fitting_jobs_actions_start_their_jobs_now():
     """Stepping an action that fitting_jobs() lists starts its job at the
     current clock, as a valid action that lets no time pass."""

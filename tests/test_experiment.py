@@ -1,20 +1,22 @@
 import csv
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from rlsched import experiment
+from rlsched import workload
 from rlsched.config import EnvConfig
 from rlsched.env import ClusterEnv
 from rlsched.errors import ConfigError
 from rlsched.experiment import (
     ExperimentSpec,
+    cell_sequences,
     config_hash,
     emit_plot_series,
     run_experiment,
 )
-from rlsched.workload import WorkloadSpec, generate
+from rlsched.workload import WorkloadSpec, draw_sequences, generate
 
 SMALL_ENV = EnvConfig(horizon=8, capacities=(4, 4), queue_slots=3,
                       backlog_size=10, episode_limit=200)
@@ -70,6 +72,14 @@ def test_sweep_zero_seeds_empty_results(tmp_path):
     assert manifest["cells"] == []
 
 
+@pytest.mark.parametrize("rate_index", [0, 1])
+def test_cell_sequences_draws_by_the_one_seed_rule(rate_index):
+    spec = small_spec(job_rates=(0.5, 0.7))
+    assert cell_sequences(spec, rate_index, 1) == draw_sequences(
+        replace(spec.workload, rate=spec.job_rates[rate_index]), spec.env,
+        spec.episodes, 1, rate_index)
+
+
 def test_sweep_policies_share_workloads(tmp_path, monkeypatch):
     """Each (rate, seed)'s sequences are drawn once, every policy of the
     cell runs the same jobs, and the shared lists are never written to."""
@@ -88,7 +98,7 @@ def test_sweep_policies_share_workloads(tmp_path, monkeypatch):
             ran.append([(j.id, j.arrival, j.duration, j.demand) for j in self.jobs])
         return self
 
-    monkeypatch.setattr(experiment, "generate", counting_generate)
+    monkeypatch.setattr(workload, "generate", counting_generate)
     monkeypatch.setattr(ClusterEnv, "reset", recording_reset)
     rows, _ = run_experiment(spec, tmp_path / "r")
 

@@ -58,7 +58,7 @@ def test_read_csv_without_header_fails_at_line_one(tmp_path):
 
 def test_zero_wait_batch_cross_metric_consistency():
     batch = [outcome(t, t, d) for t, d in [(0, 3), (2, 1), (5, 4)]]
-    report = episode_report(batch, [], gamma=1.0)
+    report = episode_report(batch, [], gamma=1.0, total_jobs=len(batch))
     assert report.avg_waiting_time == 0.0
     assert report.avg_slowdown == 1.0
 
@@ -92,7 +92,7 @@ def outcomes(draw):
 
 @given(st.lists(outcomes(), min_size=1, max_size=12))
 def test_slowdown_at_least_one_and_identity(batch):
-    report = episode_report(batch, [], gamma=1.0)
+    report = episode_report(batch, [], gamma=1.0, total_jobs=len(batch))
     assert report.avg_slowdown >= 1.0
     durations = sum(j.duration for j in batch) / len(batch)
     assert report.avg_completion_time == pytest.approx(
@@ -104,8 +104,8 @@ def test_slowdown_at_least_one_and_identity(batch):
 def test_report_permutation_invariant(batch, rnd):
     shuffled = list(batch)
     rnd.shuffle(shuffled)
-    a = episode_report(batch, [-1.0], gamma=0.9)
-    b = episode_report(shuffled, [-1.0], gamma=0.9)
+    a = episode_report(batch, [-1.0], gamma=0.9, total_jobs=len(batch))
+    b = episode_report(shuffled, [-1.0], gamma=0.9, total_jobs=len(batch))
     assert a == b
 
 
@@ -113,8 +113,8 @@ def test_permutation_exhaustive_small():
     batch = [outcome(0, 1, 2), outcome(1, 4, 1), outcome(2, 2, 3)]
     reports = {
         (
-            episode_report(list(p), [], gamma=1.0).avg_slowdown,
-            episode_report(list(p), [], gamma=1.0).avg_waiting_time,
+            episode_report(list(p), [], gamma=1.0, total_jobs=3).avg_slowdown,
+            episode_report(list(p), [], gamma=1.0, total_jobs=3).avg_waiting_time,
         )
         for p in itertools.permutations(batch)
     }

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,8 @@ from rlsched.errors import ConfigError, ParseError, SpecError, ValidationError
 from rlsched.workload import (
     TraceMapping,
     WorkloadSpec,
+    derived_seed,
+    draw_sequences,
     generate,
     load_trace,
     save_trace,
@@ -70,6 +73,21 @@ def test_generate_checks_spec_against_config():
     spec = WorkloadSpec(large_duration_range=(10, 25))
     with pytest.raises(SpecError):
         generate(spec, EnvConfig(horizon=20))
+
+
+def test_draw_sequences_seeds_list_k_from_the_key_and_k():
+    spec = WorkloadSpec(rate=0.6, length=30)
+    drawn = draw_sequences(spec, CFG, 3, 4, 7919)
+    assert drawn == [generate(replace(spec, seed=derived_seed(4, 7919, k)), CFG)
+                     for k in range(3)]
+    assert drawn[0] != drawn[1]
+
+
+@pytest.mark.parametrize("count", [0, 2])
+@pytest.mark.parametrize("key", [(-1, 0), (0, -1)])
+def test_draw_sequences_rejects_a_negative_key(key, count):
+    with pytest.raises(ConfigError):
+        draw_sequences(WorkloadSpec(), CFG, count, *key)
 
 
 def test_invalid_specs_rejected():
