@@ -16,23 +16,29 @@ applies to the pooled gradient, before routing: the routed cell's mask is the
 window's. A window with no positive value is a tie at +0.0 after a ReLU, so
 its zeroed gradient goes to the top-left cell.
 
-A convolution is one gemm over a channel-major im2col with a leading block
-axis: (blocks, c*9 + 1, columns), whose row (c, i, j) holds each column's
-(i, j) neighbour in channel c and whose last row is ones. A conv with no
-max-pool after it has one block, every pixel in (n, y, x) order. [w | b] @
-cols writes its output as (f, batch, h, w), and the layer hands it on as a
-(batch, f, h, w) view, C-contiguous at batch 1: its in-place ReLU reads
+A convolution is one small gemm per image over an image-major im2col,
+channel-major within each image: (batch, blocks, c*9 + 1, bh*bw), whose row
+(c, i, j) of a block holds each column's (i, j) neighbour in channel c and
+whose last row is ones. A conv with no max-pool after it has one block per
+image, every pixel in (y, x) order. np.matmul([w | b], cols) runs one
+(f, c*9 + 1) @ (c*9 + 1, h*w) gemm per image and writes a C-contiguous
+(batch, f, h, w) output at every batch size: its in-place ReLU reads
 contiguous memory, and a flatten after it is a view. A conv that a max-pool
-reads has four window-major blocks, one per window corner in row-major
-order, each of every window in (n, y2, x2) order; an odd last row or column,
-which no window reads, is left out. The gemm writes them as four contiguous
-(f, batch, h2, w2) blocks, which the pool reduces into a C-order (batch,
-f, h2, w2) buffer, so a flatten after the pool is a view. With two
-or more filters, folding the bias in keeps the bits of a row-major
-patches @ w.T + b: it is the same dot product per output, and the bias is
-the last term the gemm adds, as the separate + b added it last
-(tests/test_nn.py checks this bit for bit against a fresh-array oracle, at
-the default state image's shape too). A one-filter conv's (1, c*9 + 1) gemm,
+reads has four window-major blocks per image, one per window corner in
+row-major order, each of every window in (y2, x2) order; an odd last row or
+column, which no window reads, is left out. One gemm per image and corner
+writes them as (batch, 4, f, h2*w2), which the pool reduces into a C-order
+(batch, f, h2, w2) buffer, so a flatten after the pool is a view. Each gemm
+is one image's size, under the small-matrix bound below, where one gemm over
+the whole batch went above it (conv16 at batch 6: six (16, 10) @ (10, 2460)
+gemms, not one (16, 10) @ (10, 14760)). K is c*9 + 1 either way, each
+output is one dot product over it, and a batch's rows keep the bits of
+batch-1 forwards (tests/test_nn.py checks both). With two or more filters,
+folding the bias in keeps the bits of a row-major patches @ w.T + b: it is
+the same dot product per output, and the bias is the last term the gemm
+adds, as the separate + b added it last (tests/test_nn.py checks this bit
+for bit against a fresh-array oracle, at the default state image's shape
+too). A one-filter conv's (1, c*9 + 1) gemm,
 pooled or not, takes another BLAS path and may differ in the last bit; no
 shipped architecture has one. A convolution copies its input into the
 interior of a padded-input buffer whose one-pixel border stays zero: nothing
@@ -58,12 +64,24 @@ Backward leaves two slow numpy paths where the bits allow it:
   view (batch 1) and on a one-filter copy (N, 1) sum(axis=0) adds pairwise,
   so those keep it. tests/test_nn.py pins both numpy rules.
 
+A dense layer's weight gradient grad.T @ x (K = batch) and input gradient
+grad @ w (K = units) run in column tiles when both short dimensions are at
+most 16 (the conv heads, with 6 or 1 units) and M*N*K is above 10**6. numpy's
+bundled OpenBLAS runs a gemm up to that size through its small-matrix
+kernels, and packs both operands above it, at 2-3 times the cost for these
+shapes (_SMALL_GEMM). A tile splits N only: each output is the same dot
+product over the same K, so it keeps its bits. A product with a long K is
+never split, since the packed path splits K itself and a tiled call would
+not add the same partial sums: the forward x @ w.T (K = input width) and a
+conv's dw (K = batch*h*w) keep one call. So does the fc hidden layer's
+(128, batch) @ (batch, 2460): tiled, it was slower.
+
 Each network keeps its batch-sized intermediates in buffers it reuses, one
 flat array per (role, layer): a convolution's padded input, im2col (columns
 in forward, patches in backward) and output, a max-pool's output and
-temporary, a flatten copy, and a dense layer's input gradient. A buffer
-grows to the largest size asked for, and a batch uses a reshaped leading
-slice, so the memory held does not grow with the number of batch sizes seen.
+temporary, and a dense layer's input gradient. A buffer grows to the
+largest size asked for, and a batch uses a reshaped leading slice, so the
+memory held does not grow with the number of batch sizes seen.
 Hence the contract:
 - the caches of a forward are valid until that network's next forward, and
   serve one backward (which overwrites a convolution's buffers); they may
@@ -155,6 +173,28 @@ def _windows(padded, step):
                       (sy, sx, sn, sc, step * sy, step * sx, sy, sx), writeable=False)
 
 
+# numpy's bundled OpenBLAS (0.3.31, Haswell kernels) runs a float32 gemm
+# with M*N*K at most this through its small-matrix kernels; above it, it
+# packs both operands first, and a batch-sized product takes 2-3x as long.
+# On a 2-core x86-64 host, (5, 6) @ (6, N) took 23 us at M*N*K = 999,990
+# and 81 us at 1,000,020
+_SMALL_GEMM = 10**6
+
+
+def _short_matmul(a, b, out):
+    """a @ b into out. When both of a's dimensions are at most 16, a product
+    above _SMALL_GEMM runs as column tiles of b within it: each output is
+    still one dot product over the same K, so every bit is the one call's.
+    Only N is split; a split K would change the sums."""
+    m, k = a.shape
+    if m > 16 or k > 16 or m * k * b.shape[1] <= _SMALL_GEMM:
+        return np.matmul(a, b, out=out)
+    width = _SMALL_GEMM // (m * k)
+    for j in range(0, b.shape[1], width):
+        np.matmul(a, b[:, j : j + width], out=out[:, j : j + width])
+    return out
+
+
 def _corners(x):
     """The four corners of every 2x2 window of x (batch, C, H, W) as strided
     views, in row-major window order; an odd last row or column is dropped."""
@@ -167,11 +207,11 @@ class _ConvViews(NamedTuple):
 
     interior: np.ndarray  # the padded input's interior, which forward fills
     windows: np.ndarray  # the (batch, c, h, w, 3, 3) windows backward reads
-    cols_dst: np.ndarray  # the im2col rows as (step, step, c, 3, 3, batch, bh, bw)
+    cols_dst: np.ndarray  # the im2col rows as (batch, step, step, c, 3, 3, bh, bw)
     cols_src: np.ndarray  # the padded input's windows in that order
-    ones: np.ndarray  # the im2col's last row
-    cols: np.ndarray  # (blocks, c*9 + 1, columns): the gemm's right operand
-    out: np.ndarray  # (blocks, f, columns): the gemm's output
+    ones: np.ndarray  # the im2col's last rows
+    cols: np.ndarray  # (batch, blocks, c*9 + 1, bh*bw): the gemm's right operands
+    out: np.ndarray  # (batch, blocks, f, bh*bw): the gemm's outputs
     blocks: tuple  # each output block as a (batch, f, bh, bw) view
     shape: tuple  # the output's (batch, f, h, w)
 
@@ -302,28 +342,27 @@ class Network:
     def _conv_views(self, i, shape):
         batch, c, h, wd = shape
         f = self.layers[i].units
-        # channel-major im2col with a leading block axis: one block of every
-        # pixel (n, y, x), or, when a max-pool reads the output, one block
-        # per window corner, in row-major corner order, of every window
-        # (n, y2, x2). Row (c, i, j) of a block holds each column's
+        # image-major im2col, channel-major within an image: per image one
+        # block of every pixel (y, x), or, when a max-pool reads the output,
+        # one block per window corner, in row-major corner order, of every
+        # window (y2, x2). Row (c, i, j) of a block holds each column's
         # padded[n, c, y + i, x + j]; a last row of ones carries the bias,
         # which the gemm then adds last
         step = 2 if self._plan[i][1] else 1
         blocks, bh, bw = step * step, h // step, wd // step
         padded = self._buffer(("padded", i), (batch, c, h + 2, wd + 2))
-        cols = self._buffer(("im2col", i), (blocks, c * 9 + 1, batch * bh * bw))
-        out = self._buffer(("conv", i), (blocks, f, batch * bh * bw))
+        cols = self._buffer(("im2col", i), (batch, blocks, c * 9 + 1, bh * bw))
+        out = self._buffer(("conv", i), (batch, blocks, f, bh * bw))
         return _ConvViews(
             interior=padded[:, :, 1 : h + 1, 1 : wd + 1],
             windows=_windows(padded, 1)[0, 0],
-            cols_dst=cols[:, :-1].reshape(step, step, c, 3, 3, batch, bh, bw),
-            cols_src=_windows(padded, step).transpose(0, 1, 3, 6, 7, 2, 4, 5),
-            ones=cols[:, -1],
+            cols_dst=cols[:, :, :-1].reshape(batch, step, step, c, 3, 3, bh, bw),
+            cols_src=_windows(padded, step).transpose(2, 0, 1, 3, 6, 7, 4, 5),
+            ones=cols[:, :, -1],
             cols=cols,
             out=out,
-            # C-contiguous at batch 1
-            blocks=tuple(
-                out.reshape(blocks, f, batch, bh, bw).transpose(0, 2, 1, 3, 4)),
+            # without a pool, the one block is the C-contiguous output
+            blocks=tuple(out.reshape(batch, blocks, f, bh, bw).swapaxes(0, 1)),
             shape=(batch, f, h, wd),
         )
 
@@ -358,9 +397,10 @@ class Network:
                 cache = (shape, corners, x)
                 owned = True
             elif kind == "flatten":
+                # a view of a conv's or pool's C-order output; numpy copies
+                # only an input that the caller passed non-contiguous
                 cache = x.shape
-                x, copied = self._reshape(x, (len(x), -1), ("flatten", i))
-                owned = owned or copied
+                x = x.reshape(len(x), -1)
             elif kind == "dense":
                 w, b = params
                 cache = x
@@ -404,7 +444,8 @@ class Network:
             elif kind == "dense":
                 x = cache
                 w = self.params[i][0]
-                grads[i] = (grad.T @ x, grad.sum(axis=0))
+                dw = _short_matmul(grad.T, x, np.empty(w.shape, self.dtype))
+                grads[i] = (dw, grad.sum(axis=0))
                 if i > first:
                     dx = self._buffer(("dgrad", i), (len(grad), w.shape[1]))
                     if w.shape[0] == 1:
@@ -413,10 +454,11 @@ class Network:
                         # follow erase (module docstring)
                         grad = np.multiply(grad, w, out=dx)
                     else:
-                        grad = np.matmul(grad, w, out=dx)
+                        grad = _short_matmul(grad, w, dx)
                 elif input_grad:
                     # fresh, so the returned input gradient is the caller's
-                    grad = grad @ w
+                    grad = _short_matmul(
+                        grad, w, np.empty((len(grad), w.shape[1]), self.dtype))
         return grads, (grad if input_grad else None)
 
     def _conv_forward(self, views, x, w, b):
@@ -497,8 +539,8 @@ class Network:
 
     def sgd_step(self, grads, lr: float) -> None:
         """params <- params - lr * grads, elementwise, in place."""
-        if lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {lr}")
+        if not 0 <= lr < math.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {lr}")
         if len(grads) != len(self.params):
             raise ShapeError("gradient list does not match parameter list")
         for params, grad in zip(self.params, grads):

@@ -19,6 +19,7 @@ from rlsched.nn import (
     save_params,
     softmax,
 )
+from rlsched.nn.network import _SMALL_GEMM, _short_matmul
 
 
 def rng_input(shape, seed=0, scale=1.0):
@@ -661,6 +662,61 @@ def test_flatten_of_contiguous_input_is_a_view():
     assert np.shares_memory(caches[1], x)
 
 
+@pytest.mark.parametrize("layers", [
+    [conv3(16), flatten()],
+    [conv3(32), flatten()],
+    [conv3(32), maxpool2(), flatten()],
+], ids=["conv16", "conv32", "conv32_pool"])
+def test_conv_rows_match_batch_one_bit_for_bit(layers):
+    """A convolution runs one gemm per image (and window corner), so a row
+    of a batch's output does not depend on the rest of the batch: it equals
+    that image's batch-1 output bit for bit."""
+    net = Network(layers, input_shape=STATE_SHAPE, seed=3, init_scale=0.5)
+    rng = np.random.default_rng(8)
+    for batch in (2, 5, 6, 8):
+        x = (rng.random((batch,) + STATE_SHAPE) < 0.3).astype(np.float32)
+        rows = np.concatenate([net.forward(x[k : k + 1])[0] for k in range(batch)])
+        assert_same_bits(net.forward(x)[0], rows)
+
+
+@pytest.mark.parametrize("filters", [16, 32])
+@pytest.mark.parametrize("head", [6, 1])
+def test_conv_output_is_flattened_in_place(filters, head):
+    """A conv with no pool after it writes a C-contiguous (batch, f, h, w)
+    output at every batch size, so the flatten after it is a view of the
+    conv's buffer and the network holds no flatten copy."""
+    net = Network([conv3(filters, activation="relu"), flatten(), dense(head)],
+                  input_shape=STATE_SHAPE, seed=3)
+    rng = np.random.default_rng(9)
+    x = (rng.random((6,) + STATE_SHAPE) < 0.3).astype(np.float32)
+    out, caches = net.forward(x)
+    assert np.shares_memory(caches[2], net._buffers[("conv", 0)])
+    net.backward(caches, rng.standard_normal(out.shape), input_grad=True)
+    assert sorted({role for role, _ in net._buffers}) == [
+        "conv", "dgrad", "im2col", "padded"]
+
+
+@pytest.mark.parametrize("width", [39360, 19520])
+@pytest.mark.parametrize("units", [1, 6])
+def test_tiled_head_products_match_one_matmul_bit_for_bit(units, width):
+    """A head's weight gradient grad.T @ x and input gradient grad @ w, run
+    in column tiles above _SMALL_GEMM, keep the bits of one np.matmul."""
+    rng = np.random.default_rng(units * width)
+    w = rng.standard_normal((units, width)).astype(np.float32)
+    tiled = 0
+    for batch in range(1, 9):
+        grad = rng.standard_normal((batch, units)).astype(np.float32)
+        x = rng.standard_normal((batch, width)).astype(np.float32)
+        dw = _short_matmul(grad.T, x, np.empty((units, width), np.float32))
+        dx = _short_matmul(grad, w, np.empty((batch, width), np.float32))
+        assert_same_bits(dw, grad.T @ x)
+        assert_same_bits(dx, grad @ w)
+        tiled += units * batch * width > _SMALL_GEMM
+    # the actor head's products go over the bound from batch 5 (39360) or
+    # batch 9 (19520) on; the critic head's stay under it
+    assert tiled == {(6, 39360): 4}.get((units, width), 0)
+
+
 # -- sgd_step -------------------------------------------------------------------
 
 
@@ -692,10 +748,18 @@ def test_sgd_shape_mismatch_raises():
 
 
 @pytest.mark.parametrize("grads, lr, error, message", [
-    ([(np.zeros((2, 3)), np.zeros(2))], -0.1, ConfigError, "lr must be >= 0, got -0.1"),
+    ([(np.zeros((2, 3)), np.zeros(2))], -0.1, ConfigError,
+     "lr must be finite and >= 0, got -0.1"),
+    ([(np.ones((2, 3)), np.ones(2))], float("nan"), ConfigError,
+     "lr must be finite and >= 0, got nan"),
+    ([(np.ones((2, 3)), np.ones(2))], float("inf"), ConfigError,
+     "lr must be finite and >= 0, got inf"),
+    ([(np.ones((2, 3)), np.ones(2))], float("-inf"), ConfigError,
+     "lr must be finite and >= 0, got -inf"),
     ([], 0.1, ShapeError, "gradient list does not match parameter list"),
     ([None], 0.1, ShapeError, "gradient/parameter structure mismatch"),
-], ids=["negative-lr", "wrong-length", "wrong-structure"])
+], ids=["negative-lr", "nan-lr", "inf-lr", "minus-inf-lr", "wrong-length",
+        "wrong-structure"])
 def test_sgd_step_checks_name_the_fault(grads, lr, error, message):
     net = Network([dense(2)], input_shape=(3,), seed=0)
     before = [a.copy() for a in net.parameter_arrays()]
