@@ -31,13 +31,17 @@ def sjf_select(env: ClusterEnv) -> int:
 def tetris_select(env: ClusterEnv) -> int:
     """Packing-plus-short-jobs score: cosine alignment between the current
     row's free-resource vector and the job demand, plus LAM_SHORT / duration.
-    Ties go to the lowest action, since `max` returns the first maximum; void
-    when nothing fits.
+    Ties go to the lowest action, since `max` returns the first maximum.
+    When nothing fits it returns void at once, before it builds the free
+    vector or scores anything.
 
     Free units and demands are small integers, so their sums of squares and
     dot products, taken with `sum(map(operator.mul, ...))`, are exact in
     Python integers, and `math.sqrt` and the one division round exactly as
     the float64 norm and dot product would."""
+    candidates = env.fitting_jobs()
+    if not candidates:
+        return 0
     mul = operator.mul
     free = [cap - col[0] for cap, col in
             zip(env.config.capacities, env.image.columns)]
@@ -50,13 +54,21 @@ def tetris_select(env: ClusterEnv) -> int:
         alignment = sum(map(mul, free, demand)) / norm if norm > 0 else 0.0
         return alignment + LAM_SHORT / job.duration
 
-    return max(env.fitting_jobs(), key=score, default=VOID)[0]
+    return max(candidates, key=score)[0]
 
 
 def random_select(env: ClusterEnv, rng: np.random.Generator) -> int:
-    """Uniform over the fitting jobs' actions plus the void action."""
-    choices = [0] + [action for action, _ in env.fitting_jobs()]
-    return int(choices[rng.integers(len(choices))])
+    """Uniform over the fitting jobs' actions plus the void action.
+
+    When nothing fits, void is the only choice and it returns 0 without
+    touching `rng`. This leaves the stream as it was: `rng.integers(1)`
+    draws no bits either, so every later draw, and every episode of the
+    random policy, is the same as if it had been called."""
+    candidates = env.fitting_jobs()
+    if not candidates:
+        return 0
+    pick = int(rng.integers(len(candidates) + 1))  # 0 is void
+    return candidates[pick - 1][0] if pick else 0
 
 
 def make_policy(kind: str, rng: np.random.Generator | None = None, agent=None):

@@ -13,7 +13,11 @@ The image is therefore stored as one Python list of per-row used counts per
 resource, and drawn as cells only when the observation is encoded. The one
 fit rule, `ClusterImage.fits_at`, reads these lists with plain integer
 arithmetic: the candidate list, the earliest-offset search and the placement
-check each call it once per window they test. The encoder takes each drawn
+check each call it once per window they test. It rejects a window on its
+first row before it scans the rest, which gives the same answer, since a
+window's highest count is at least its first. Under the heuristics every
+job starts at row 0, so no column rises with depth and every failing test
+fails on the first row. The encoder takes each drawn
 row from a per-capacity table of row patterns, indexed by the count; a
 (horizon, resource) array of the same counts is built from them, read-only,
 for `free_counts` and for inspection.
@@ -31,7 +35,7 @@ from .config import EnvConfig
 from .errors import EpisodeFinished, InvalidActionError, ValidationError
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """A work request and its lifecycle timestamps."""
 
@@ -116,12 +120,17 @@ class ClusterImage:
     def fits_at(self, job: Job, offset: int) -> bool:
         """The one fit rule: whether the job's rows from `offset` on lie
         within the horizon and have room for its demand. A negative offset
-        never fits."""
+        never fits.
+
+        Each resource's window is first tested on its first row alone, and
+        scanned whole only if that row has room; a window's maximum is at
+        least its first row, so the answer is the full scan's, and the test
+        is still one call per window."""
         end = offset + job.duration
         if offset < 0 or end > self.config.horizon:
             return False
         for col, d, cap in zip(self.columns, job.demand, self.config.capacities):
-            if max(col[offset:end]) + d > cap:
+            if col[offset] + d > cap or max(col[offset:end]) + d > cap:
                 return False
         return True
 

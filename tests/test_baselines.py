@@ -12,7 +12,7 @@ from rlsched.baselines import (
     tetris_select,
 )
 from rlsched.config import EnvConfig
-from rlsched.env import ClusterEnv, Job
+from rlsched.env import ClusterEnv, ClusterImage, Job
 from rlsched.errors import ConfigError
 from rlsched.workload import WorkloadSpec, generate
 
@@ -153,7 +153,9 @@ def test_random_void_when_nothing_fits():
     env = queue_env([(3, (4, 4)), (2, (4, 4))], capacities=(4, 4))
     env.step(1)
     rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     assert all(random_select(env, rng) == 0 for _ in range(50))
+    assert rng.bit_generator.state == state  # no draw: the stream is untouched
 
 
 def test_random_uniform_over_fit_and_void():
@@ -172,6 +174,60 @@ def test_random_deterministic_under_seed():
     a = [random_select(env, np.random.default_rng(7)) for _ in range(20)]
     b = [random_select(env, np.random.default_rng(7)) for _ in range(20)]
     assert a == b
+
+
+def test_zero_range_draw_leaves_the_generator_alone():
+    # random_select skips its draw when void is the only choice; that keeps
+    # the random policy's stream only because this draw takes no bits
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        assert rng.integers(1) == 0
+        assert rng.bit_generator.state == state
+
+
+def test_random_picks_what_a_twin_generator_draws():
+    # row 0 holds (1, 1), so the (4, 1) job in slot 1 does not fit now and
+    # the fitting actions are 2 and 3
+    env = queue_env([(1, (4, 1)), (1, (1, 1)), (2, (2, 2))], capacities=(4, 4))
+    env.image.place(Job(9, 0, 1, (1, 1)), 0)
+    choices = [0] + [a for a, _ in env.fitting_jobs()]
+    assert choices == [0, 2, 3]
+    for seed in range(6):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert random_select(env, rng) == choices[twin.integers(len(choices))]
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_forced_void_costs_one_fit_test_per_queued_job(monkeypatch):
+    """With nothing fitting, each heuristic's decision is one `fits_at` call
+    per queued job and nothing more: no other window, and no draw."""
+    calls = []
+    fits_at = ClusterImage.fits_at
+
+    def counted(self, queued, offset):
+        calls.append((queued.id, offset))
+        return fits_at(self, queued, offset)
+
+    class CountingRng:
+        def __init__(self):
+            self.draws = 0
+
+        def integers(self, *args):
+            self.draws += 1
+            return 0
+
+    env = queue_env([(3, (4, 4)), (2, (4, 4)), (1, (3, 1)), (2, (1, 4))],
+                    capacities=(4, 4))
+    env.step(1)
+    monkeypatch.setattr(ClusterImage, "fits_at", counted)
+    rng = CountingRng()
+    for policy in (sjf_select, tetris_select, lambda e: random_select(e, rng)):
+        calls.clear()
+        assert policy(env) == 0
+        assert calls == [(1, 0), (2, 0), (3, 0)]
+    assert rng.draws == 0
 
 
 # -- work conservation / interchangeability ------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -119,6 +120,22 @@ def test_allocate_infeasible_within_horizon():
     env.reset([blocker, wide])
     env.step(1)
     assert env.image.earliest_offset(env.queue[1]) is None
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_window_blocked_below_its_first_row(r):
+    # a reservation on rows 2-3 leaves rows 0-1 free: the target's window
+    # from row 0 has room on its first row and none on row 2
+    env = make_env(capacities=(4, 4)).reset([job(0, duration=4, demand=(2, 2))])
+    target = env.queue[0]
+    reserved = [1, 1]
+    reserved[r] = 3
+    env.image.place(job(9, duration=2, demand=tuple(reserved)), 2)
+    assert env.image.columns[r][:5] == [0, 0, 3, 3, 0]
+    assert [env.image.fits_at(target, o) for o in range(6)] == [
+        False, False, False, False, True, True]
+    assert env.fitting_jobs() == []
+    assert env.image.earliest_offset(target) == 4
 
 
 # -- fitting_jobs ---------------------------------------------------------------
@@ -515,6 +532,19 @@ def test_every_fit_test_is_one_fits_at_call(monkeypatch):
     calls.clear()
     assert env.fitting_jobs() == [(3, c)]  # job 1 no longer fits; slot 1 is empty
     assert calls == [(1, 0), (2, 0)]
+
+
+def test_job_is_slotted_and_copies_are_independent():
+    original = Job(id=3, arrival=2, duration=4, demand=(1, 2), started_at=5,
+                   finished_at=9)
+    assert not hasattr(original, "__dict__")
+    with pytest.raises(AttributeError):
+        original.priority = 1
+    for copy, equal in [(dataclasses.replace(original), original),
+                        (original.fresh_copy(), job(3, 2, 4, (1, 2)))]:
+        assert copy == equal and copy is not original
+        copy.started_at, copy.finished_at = 0, 1
+        assert (original.started_at, original.finished_at) == (5, 9)
 
 
 # -- reset returns the environment ------------------------------------------------
