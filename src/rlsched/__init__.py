@@ -14,7 +14,7 @@ from .agent import (
     n_step_returns,
     train,
 )
-from .baselines import make_policy, random_select, run_greedy, sjf_select, tetris_select
+from .baselines import random_select, run_greedy, sjf_select, tetris_select
 from .experiment import ExperimentSpec, emit_plot_series, run_experiment
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "Transition",
     "n_step_returns",
     "train",
-    "make_policy",
     "random_select",
     "run_greedy",
     "sjf_select",

@@ -141,30 +141,24 @@ class ActorCriticAgent:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _batch(self, state: np.ndarray) -> np.ndarray:
-        return np.asarray(state)[None, None, :, :]
-
     def policy(self, state: np.ndarray) -> np.ndarray:
         """Action probabilities; TrainingDiverged if the weights overflowed."""
-        logits, _ = self.actor.forward(self._batch(state))
+        logits, _ = self.actor.forward(np.asarray(state)[None, None])
         probs = softmax(logits[0])
         if not math.isfinite(probs.sum()):
             raise TrainingDiverged("policy probabilities are not finite")
         return probs
 
     def value(self, state: np.ndarray) -> float:
-        out, _ = self.critic.forward(self._batch(state))
+        out, _ = self.critic.forward(np.asarray(state)[None, None])
         return float(out[0, 0])
 
-    def select_action(self, probs: np.ndarray, mode: str = "sample") -> int:
-        """Sample from `probs` (training), or take its argmax when `mode` is
-        "greedy" (evaluation)."""
-        if mode == "greedy":
+    def act(self, state: np.ndarray, *, greedy: bool = False) -> int:
+        """Sample an action at `state`; `greedy` takes the argmax, drawing nothing."""
+        probs = self.policy(state)
+        if greedy:
             return int(np.argmax(probs))  # argmax takes the first max on ties
         return int(self.rng.choice(len(probs), p=probs))
-
-    def act(self, state: np.ndarray, mode: str = "sample") -> int:
-        return self.select_action(self.policy(state), mode)
 
     # -- learning ----------------------------------------------------------------
 

@@ -1,4 +1,5 @@
-"""Reference scheduling policies sharing the agent's action interface.
+"""The three heuristic policies, SJF, Tetris and random, and `run_greedy`,
+which drives an environment with any policy for one episode.
 
 A policy is a callable env -> action index. The heuristics look at the
 environment state directly (they are not learners) and choose only among
@@ -13,10 +14,8 @@ import operator
 import numpy as np
 
 from .env import ClusterEnv
-from .errors import ConfigError
 from .metrics import EpisodeReport, episode_report
 
-POLICY_KINDS = ("random", "sjf", "tetris", "a2c")
 LAM_SHORT = 0.05  # Tetris's weight on the short-job term
 VOID = (0, None)  # the void action, as an (action, job) pair
 
@@ -69,24 +68,6 @@ def random_select(env: ClusterEnv, rng: np.random.Generator) -> int:
         return 0
     pick = int(rng.integers(len(candidates) + 1))  # 0 is void
     return candidates[pick - 1][0] if pick else 0
-
-
-def make_policy(kind: str, rng: np.random.Generator | None = None, agent=None):
-    """Build a policy callable, one of POLICY_KINDS. `random` needs an rng;
-    `a2c` needs a trained agent (greedy action selection)."""
-    if kind == "sjf":
-        return sjf_select
-    if kind == "tetris":
-        return tetris_select
-    if kind == "random":
-        if rng is None:
-            raise ConfigError("random policy needs an rng")
-        return lambda env: random_select(env, rng)
-    if kind == "a2c":
-        if agent is None:
-            raise ConfigError("a2c policy needs a trained agent")
-        return lambda env: agent.act(env.encode_state(), mode="greedy")
-    raise ConfigError(f"unknown policy kind {kind!r}; pick from {POLICY_KINDS}")
 
 
 def run_greedy(policy, env: ClusterEnv, jobs, gamma: float) -> EpisodeReport:

@@ -16,11 +16,11 @@ from pathlib import Path
 
 from . import __version__
 from .agent import ARCHITECTURE_NAMES, AgentConfig, train
-from .baselines import POLICY_KINDS
 from .config import EnvConfig, from_section, read_yaml, section_values
 from .errors import ConfigError, RlschedError
 from .experiment import (
     EPISODE_COLUMNS,
+    POLICY_KINDS,
     ExperimentSpec,
     cell_sequences,
     emit_plot_series,
@@ -139,6 +139,8 @@ def cmd_evaluate(args) -> int:
         episodes=args.episodes,
         checkpoint=args.checkpoint,
     )
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     rows = run_cell(spec, args.policy, 0, spec.seeds[0],
                     cell_sequences(spec, 0, spec.seeds[0]))
     if args.out:

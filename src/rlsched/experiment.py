@@ -21,12 +21,14 @@ import numpy as np
 
 from . import __version__
 from .agent import ActorCriticAgent, AgentConfig
-from .baselines import POLICY_KINDS, make_policy, run_greedy
+from .baselines import random_select, run_greedy, sjf_select, tetris_select
 from .config import EnvConfig, check_seed
 from .env import ClusterEnv, Job
 from .errors import ConfigError
 from .metrics import EpisodeReport, format_cell, read_csv, write_csv
 from .workload import WorkloadSpec, draw_sequences, validate_spec
+
+POLICY_KINDS = ("random", "sjf", "tetris", "a2c")
 
 EPISODE_COLUMNS = ("policy", "job_rate", "seed", "episode") + tuple(
     f.name for f in dataclasses.fields(EpisodeReport)
@@ -81,14 +83,21 @@ def config_hash(spec: ExperimentSpec) -> str:
 
 def _build_policy(kind: str, spec: ExperimentSpec, env: ClusterEnv,
                   seed: int, rate_index: int):
-    rng = agent = None
+    """The cell's env -> action; heuristics are read as globals at each call."""
+    if kind not in spec.policies:
+        raise ConfigError(f"{kind!r} is not in spec.policies {list(spec.policies)}")
+    if kind == "sjf":
+        return sjf_select
+    if kind == "tetris":
+        return tetris_select
     if kind == "random":
         rng = np.random.default_rng(np.random.SeedSequence([seed, rate_index, 0xA5]))
-    if kind == "a2c":
-        agent = ActorCriticAgent(env.observation_shape(), spec.env.num_actions,
-                                 config=spec.agent, seed=seed)
-        agent.load(spec.checkpoint)
-    return make_policy(kind, rng=rng, agent=agent)
+        return lambda env: random_select(env, rng)
+    # "a2c": __post_init__ admits only POLICY_KINDS and requires a checkpoint
+    agent = ActorCriticAgent(env.observation_shape(), spec.env.num_actions,
+                             config=spec.agent, seed=seed)
+    agent.load(spec.checkpoint)
+    return lambda env: agent.act(env.encode_state(), greedy=True)
 
 
 def cell_sequences(spec: ExperimentSpec, rate_index: int,

@@ -21,7 +21,7 @@ from rlsched.agent import (
     architecture_chain,
     train,
 )
-from rlsched.baselines import make_policy, run_greedy
+from rlsched.baselines import run_greedy, sjf_select
 from rlsched.config import EnvConfig
 from rlsched.env import ClusterEnv, Job
 from rlsched.experiment import ExperimentSpec, run_experiment
@@ -138,7 +138,7 @@ def test_criterion_3_sjf_oracle():
         n = int(rng.integers(1, 8))
         durations = [int(rng.integers(1, 7)) for _ in range(n)]
         jobs = [Job(i, 0, d, (1, 1)) for i, d in enumerate(durations)]
-        rep = run_greedy(make_policy("sjf"), env, jobs, 0.99)
+        rep = run_greedy(sjf_select, env, jobs, 0.99)
         assert rep.completed == n
         assert rep.avg_waiting_time == brute_force_min_avg_waiting(durations)
         checked += 1

@@ -1,3 +1,4 @@
+import copy
 import sys
 
 import numpy as np
@@ -11,7 +12,7 @@ from rlsched.agent import (
     n_step_returns,
     train,
 )
-from rlsched.baselines import make_policy, run_greedy
+from rlsched.baselines import run_greedy
 from rlsched.config import EnvConfig
 from rlsched.env import ClusterEnv, Job
 from rlsched.errors import ConfigError, ShapeError, TrainingDiverged
@@ -131,7 +132,7 @@ def test_pooled_actor_matches_direct_forward(arch):
         want = direct_logits(agent.actor, state)
         tol = 1e-4 * np.abs(want).max()
         assert np.abs(logits[0] - want).max() <= tol
-        action = agent.act(state, mode="greedy")
+        action = agent.act(state, greedy=True)
         assert want[action] >= want.max() - tol
 
 
@@ -155,20 +156,27 @@ def test_unknown_architecture_rejected():
         AgentConfig(architecture="resnet")
 
 
-# -- select_action ----------------------------------------------------------------
+# -- act: the argmax when greedy, else a draw from agent.rng -----------------------
 
 
-def test_select_action_degenerate_distribution():
+def fix_policy(monkeypatch, agent, probs):
+    """Make `agent.policy` return `probs` at every state."""
+    monkeypatch.setattr(agent, "policy", lambda state: np.asarray(probs))
+
+
+def test_select_action_degenerate_distribution(monkeypatch):
     agent = tiny_agent(num_actions=4)
-    probs = np.array([1.0, 0.0, 0.0, 0.0])
-    assert all(agent.select_action(probs) == 0 for _ in range(20))
+    fix_policy(monkeypatch, agent, [1.0, 0.0, 0.0, 0.0])
+    assert all(agent.act(grid(1.0, 1.0)) == 0 for _ in range(20))
 
 
-def test_select_action_greedy_argmax():
+def test_select_action_greedy_argmax(monkeypatch):
     agent = tiny_agent(num_actions=3)
-    assert agent.select_action(np.array([0.2, 0.5, 0.3]), mode="greedy") == 1
+    fix_policy(monkeypatch, agent, [0.2, 0.5, 0.3])
+    assert agent.act(grid(1.0, 1.0), greedy=True) == 1
     # first index wins ties
-    assert agent.select_action(np.array([0.4, 0.4, 0.2]), mode="greedy") == 0
+    fix_policy(monkeypatch, agent, [0.4, 0.4, 0.2])
+    assert agent.act(grid(1.0, 1.0), greedy=True) == 0
 
 
 @pytest.mark.parametrize("mode", ["greedy", "sample"])
@@ -179,19 +187,41 @@ def test_act_on_overflowed_weights_raises_training_diverged(mode):
     w, b = agent.actor.params[-1]
     agent.actor.params[-1] = (np.full_like(w, np.inf), b)
     with pytest.raises(TrainingDiverged), np.errstate(invalid="ignore"):
-        agent.act(grid(1.0, 1.0), mode=mode)
+        agent.act(grid(1.0, 1.0), greedy=mode == "greedy")
 
 
-def test_select_action_sampling_frequencies():
+def test_select_action_sampling_frequencies(monkeypatch):
     agent = tiny_agent(num_actions=4, seed=11)
-    probs = np.full(4, 0.25)
+    fix_policy(monkeypatch, agent, np.full(4, 0.25))
     draws = 100_000
     counts = np.bincount(
-        [agent.select_action(probs, mode="sample") for _ in range(draws)],
+        [agent.act(grid(1.0, 1.0)) for _ in range(draws)],
         minlength=4,
     )
     sigma = np.sqrt(draws * 0.25 * 0.75)
     assert (np.abs(counts - draws / 4) <= 3 * sigma).all()
+
+
+STATES = [grid(float(i % 3), float(i) / 4 - 1.0) for i in range(12)]
+
+
+def test_greedy_act_draws_nothing_from_the_rng():
+    agent = tiny_agent(num_actions=3, seed=4)
+    before = agent.rng.bit_generator.state
+    for state in STATES:
+        agent.act(state, greedy=True)
+    assert agent.rng.bit_generator.state == before
+
+
+def test_sampling_act_draws_as_rng_choice_on_a_twin_generator():
+    agent = tiny_agent(num_actions=3, seed=4)
+    twin = copy.deepcopy(agent.rng)
+    actions = []
+    for state in STATES:
+        probs = agent.policy(state)
+        actions.append(agent.act(state))
+        assert actions[-1] == twin.choice(len(probs), p=probs)
+    assert len(set(actions)) > 1  # the draws, not one forced action, decide
 
 
 # -- one-step TD error: the advantage of n_step_returns with n=1 -------------------
@@ -482,7 +512,8 @@ def test_train_single_job_reaches_optimum():
     config = AgentConfig(lr_actor=0.01, lr_critic=0.01, n_steps=3)
     _, agent = train(cfg, [jobs], config, episodes=150, seed=1)
     env = ClusterEnv(cfg)
-    report = run_greedy(make_policy("a2c", agent=agent), env, jobs, config.gamma)
+    report = run_greedy(lambda env: agent.act(env.encode_state(), greedy=True),
+                        env, jobs, config.gamma)
     assert report.avg_slowdown == pytest.approx(1.0)
     assert report.completed == 1
 

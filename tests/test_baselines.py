@@ -1,11 +1,9 @@
 import itertools
 
 import numpy as np
-import pytest
 
 from rlsched import baselines
 from rlsched.baselines import (
-    make_policy,
     random_select,
     run_greedy,
     sjf_select,
@@ -13,7 +11,6 @@ from rlsched.baselines import (
 )
 from rlsched.config import EnvConfig
 from rlsched.env import ClusterEnv, ClusterImage, Job
-from rlsched.errors import ConfigError
 from rlsched.workload import WorkloadSpec, generate
 
 
@@ -257,10 +254,11 @@ def test_policies_always_emit_valid_actions():
     cfg = EnvConfig(queue_slots=3)
     env = ClusterEnv(cfg)
     rng = np.random.default_rng(5)
+    random_rng = np.random.default_rng(0)
     policies = [
-        make_policy("sjf"),
-        make_policy("tetris"),
-        make_policy("random", rng=np.random.default_rng(0)),
+        sjf_select,
+        tetris_select,
+        lambda env: random_select(env, random_rng),
     ]
     jobs = [
         Job(i, int(rng.integers(0, 15)), int(rng.integers(1, 6)),
@@ -275,28 +273,19 @@ def test_policies_always_emit_valid_actions():
             env.step(action)
 
 
-def test_make_policy_argument_validation():
-    with pytest.raises(ConfigError):
-        make_policy("random")
-    with pytest.raises(ConfigError):
-        make_policy("a2c")
-    with pytest.raises(ConfigError):
-        make_policy("fifo")
-
-
 # -- run_greedy ----------------------------------------------------------------------
 
 
 def test_run_greedy_empty_workload():
     env = ClusterEnv(EnvConfig())
-    report = run_greedy(make_policy("sjf"), env, [], 0.99)
+    report = run_greedy(sjf_select, env, [], 0.99)
     assert report.completed == 0
     assert report.discounted_reward == 0.0
 
 
 def test_run_greedy_single_job_slowdown_one():
     env = ClusterEnv(EnvConfig())
-    report = run_greedy(make_policy("sjf"), env, [Job(0, 0, 4, (3, 2))], 0.99)
+    report = run_greedy(sjf_select, env, [Job(0, 0, 4, (3, 2))], 0.99)
     assert report.avg_slowdown == 1.0
     assert report.avg_waiting_time == 0.0
 
@@ -305,15 +294,15 @@ def test_run_greedy_resets_its_env():
     # a second run on the same env replays the episode, reward included
     jobs = generate(WorkloadSpec(rate=0.7, seed=0), EnvConfig())
     env = ClusterEnv(EnvConfig())
-    first = run_greedy(make_policy("sjf"), env, jobs, 0.99)
+    first = run_greedy(sjf_select, env, jobs, 0.99)
     assert first.completed == len(jobs) and first.discounted_reward < 0
-    assert run_greedy(make_policy("sjf"), env, jobs, 0.99) == first
+    assert run_greedy(sjf_select, env, jobs, 0.99) == first
 
 
 def test_run_greedy_forced_serialization():
     env = ClusterEnv(EnvConfig(capacities=(4, 4)))
     jobs = [Job(0, 0, 1, (4, 4)), Job(1, 0, 1, (4, 4))]
-    run_greedy(make_policy("sjf"), env, jobs, 0.99)
+    run_greedy(sjf_select, env, jobs, 0.99)
     finishes = sorted(j.finished_at for j in env.completed)
     assert finishes == [1, 2]
 
@@ -342,6 +331,6 @@ def test_sjf_matches_brute_force_on_serial_instances():
         n = int(rng.integers(2, 8))
         durations = [int(rng.integers(1, 6)) for _ in range(n)]
         jobs = [Job(i, 0, d, (1, 1)) for i, d in enumerate(durations)]
-        report = run_greedy(make_policy("sjf"), env, jobs, 0.99)
+        report = run_greedy(sjf_select, env, jobs, 0.99)
         assert report.completed == n
         assert report.avg_waiting_time == brute_force_min_avg_waiting(durations)

@@ -8,13 +8,15 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rlsched import agent as agent_module
+from rlsched import experiment
 from rlsched.agent import ActorCriticAgent, AgentConfig, Transition
-from rlsched.baselines import make_policy
 from rlsched.config import EnvConfig
 from rlsched.env import ClusterEnv, Job
 from rlsched.nn import flatten
+from rlsched.workload import WorkloadSpec
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -29,7 +31,7 @@ def load_tracing():
 
 def counting(fn, calls):
     def wrapper(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return fn(*args, **kwargs)
     return wrapper
 
@@ -61,20 +63,68 @@ def test_update_calls_n_step_returns_once_per_segment(monkeypatch):
     ]
     for segment in segments:
         agent.update(segment)
-    assert [args[0] for args in calls] == segments
+    assert [args[0] for args, _ in calls] == segments
 
 
-def test_greedy_a2c_policy_acts_through_agent_act(monkeypatch):
-    cfg = EnvConfig()
-    env = ClusterEnv(cfg).reset([Job(0, 0, 2, (1, 1))])
-    agent = ActorCriticAgent(env.observation_shape(), cfg.num_actions,
-                             config=AgentConfig(architecture="fc"), seed=0)
-    policy = make_policy("a2c", agent=agent)
+SMALL_ENV = EnvConfig(horizon=8, capacities=(4, 4), queue_slots=3,
+                      backlog_size=10, episode_limit=60)
+SMALL_WL = WorkloadSpec(length=8, small_duration_range=(1, 2),
+                        large_duration_range=(4, 6),
+                        dominant_demand_range=(1, 2),
+                        other_demand_range=(1, 1))
+
+
+def small_cell(kind, **spec_fields):
+    """run_cell over two episodes of one `kind` cell on a small cluster."""
+    spec = experiment.ExperimentSpec(policies=(kind,), seeds=(0,), episodes=2,
+                                     env=SMALL_ENV, workload=SMALL_WL,
+                                     **spec_fields)
+    return experiment.run_cell(spec, kind, 0, 0,
+                               experiment.cell_sequences(spec, 0, 0))
+
+
+def counting_steps(monkeypatch):
+    """The state each env.step is taken from, in call order."""
+    states = []
+    step = ClusterEnv.step
+
+    def counted(self, action):
+        states.append(self.encode_state())
+        return step(self, action)
+
+    monkeypatch.setattr(ClusterEnv, "step", counted)
+    return states
+
+
+def test_greedy_a2c_policy_acts_through_agent_act(tmp_path, monkeypatch):
+    """An a2c cell built from a saved checkpoint makes each decision in one
+    greedy ActorCriticAgent.act on the state the env steps from."""
+    config = AgentConfig(architecture="fc")
+    env = ClusterEnv(SMALL_ENV)
+    ActorCriticAgent(env.observation_shape(), SMALL_ENV.num_actions,
+                     config=config, seed=0).save(tmp_path)
     calls = []
     monkeypatch.setattr(ActorCriticAgent, "act",
                         counting(ActorCriticAgent.act, calls))
-    action = policy(env)
-    assert len(calls) == 1
-    (self, state, *_), = calls
-    assert self is agent and np.array_equal(state, env.encode_state())
-    assert action == agent.act(state, mode="greedy")
+    steps = counting_steps(monkeypatch)
+    rows = small_cell("a2c", agent=config, checkpoint=str(tmp_path))
+    assert len(rows) == 2 and steps
+    assert len(calls) == len(steps)
+    for ((_, state), kwargs), stepped in zip(calls, steps):
+        assert np.array_equal(state, stepped)
+        assert kwargs == {"greedy": True}
+
+
+@pytest.mark.parametrize("kind, name", [("sjf", "sjf_select"),
+                                        ("tetris", "tetris_select"),
+                                        ("random", "random_select")])
+def test_cells_call_heuristics_rebound_in_experiment(monkeypatch, kind, name):
+    """perfbench's tracing.patch rebinds each heuristic in every rlsched
+    module that holds it; a cell must call the rebound experiment global,
+    once per decision, or the traced baselines metrics read zero."""
+    calls = []
+    monkeypatch.setattr(experiment, name,
+                        counting(getattr(experiment, name), calls))
+    steps = counting_steps(monkeypatch)
+    small_cell(kind)
+    assert steps and len(calls) == len(steps)

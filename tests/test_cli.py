@@ -369,6 +369,17 @@ def test_evaluate_defaults_match_recorded_output(tmp_path, capsys, config):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_evaluate_out_creates_missing_directories(tmp_path, capsys):
+    """`evaluate --out` into directories that do not exist yet makes them
+    and writes the bytes it writes into an existing directory."""
+    argv = ["evaluate", "--policy", "sjf", "--episodes", "2", "--out"]
+    assert main(argv + [str(tmp_path / "eval.csv")]) == 0
+    nested = tmp_path / "missing" / "dir" / "eval.csv"
+    assert main(argv + [str(nested)]) == 0
+    capsys.readouterr()
+    assert nested.read_bytes() == (tmp_path / "eval.csv").read_bytes()
+
+
 def test_missing_results_dir_fails_cleanly(tmp_path, capsys):
     code = main(["plot-data", "--results", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "p")])

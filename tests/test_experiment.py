@@ -14,6 +14,7 @@ from rlsched.experiment import (
     cell_sequences,
     config_hash,
     emit_plot_series,
+    run_cell,
     run_experiment,
 )
 from rlsched.workload import WorkloadSpec, draw_sequences, generate
@@ -131,6 +132,14 @@ def test_sjf_beats_random_in_sweep(tmp_path):
 def test_a2c_policy_requires_checkpoint():
     with pytest.raises(ConfigError):
         small_spec(policies=("a2c",))
+
+
+@pytest.mark.parametrize("kind", ["a2c", "fifo"])
+def test_run_cell_rejects_a_policy_the_spec_does_not_list(kind):
+    # a2c without a checkpoint, or an unknown kind, cannot reach a cell
+    spec = small_spec()
+    with pytest.raises(ConfigError, match=kind):
+        run_cell(spec, kind, 0, 0, cell_sequences(spec, 0, 0))
 
 
 def test_negative_episode_count_rejected():
