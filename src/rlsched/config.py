@@ -7,6 +7,7 @@ values fail loudly instead of running with defaults.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,7 +60,10 @@ class EnvConfig:
 
 
 def check_seed(seed: int) -> None:
-    """Seeds feed numpy's SeedSequence, which takes non-negative integers."""
+    """Seeds feed numpy's SeedSequence, which takes non-negative integers:
+    an int or a numpy integer, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 

@@ -4,6 +4,14 @@ Synthetic jobs arrive as a Bernoulli process: at each step, one job appears
 with probability `rate`. Job sizes follow a bimodal short/long mix with one
 randomly chosen dominant resource, which is the standard way to provoke
 queueing contention at desk scale.
+
+A job list is decoded in plain Python from the raw 64-bit output of one
+`np.random.PCG64(seed)`, fetched in blocks, by the rules numpy's `Generator`
+applies to the same stream, so a list is the one `default_rng(seed)`'s
+`random()` and `integers()` calls would draw. NumPy's NEP 19 keeps a bit
+generator's stream stable across releases but lets `Generator`'s methods
+change their algorithms; reading the stream directly keeps every list fixed,
+and skips about five numpy calls per job.
 """
 from __future__ import annotations
 
@@ -17,6 +25,11 @@ from .config import EnvConfig, check_seed
 from .env import Job, validate_jobs
 from .errors import ConfigError, SpecError, ValidationError
 from .metrics import read_csv, write_csv
+
+_TWO32 = 1 << 32  # values in a 32-bit word
+_LOW32 = _TWO32 - 1
+_TWO53 = 2.0 ** 53  # random() is a multiple of 2**-53
+_BLOCK = 256  # raw words fetched at a time
 
 
 @dataclass(frozen=True)
@@ -39,20 +52,31 @@ def derived_seed(*key: int) -> int:
     return int(np.random.SeedSequence(key).generate_state(1)[0])
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_range(name: str, rng: tuple[int, int], low: int) -> None:
     try:
         lo, hi = rng
-        if lo > hi:
-            raise SpecError(f"{name} is empty: {rng}")
-        if lo < low:
-            raise SpecError(f"{name} must start at >= {low}, got {rng}")
     except (TypeError, ValueError):
         raise SpecError(f"{name} must be a [low, high] pair, got {rng!r}") from None
+    if not (_is_int(lo) and _is_int(hi)):
+        raise SpecError(f"{name} bounds must be ints, got {rng!r}")
+    if lo > hi:
+        raise SpecError(f"{name} is empty: {rng}")
+    if lo < low:
+        raise SpecError(f"{name} must start at >= {low}, got {rng}")
+    # numpy draws a wider range from 64-bit words, a rule generate lacks
+    if hi - lo >= _TWO32:
+        raise SpecError(f"{name} spans more than 2**32 values, got {rng}")
 
 
 def validate_spec(spec: WorkloadSpec, config: EnvConfig) -> None:
     if not 0.0 <= spec.rate <= 1.0:
         raise SpecError(f"rate must be in [0, 1], got {spec.rate}")
+    if not _is_int(spec.length):
+        raise SpecError(f"length must be an int, got {spec.length!r}")
     if spec.length < 0:
         raise SpecError(f"length must be >= 0, got {spec.length}")
     if not 0.0 <= spec.small_job_fraction <= 1.0:
@@ -73,33 +97,72 @@ def validate_spec(spec: WorkloadSpec, config: EnvConfig) -> None:
         )
 
 
+def _raw_words(seed: int):
+    """The raw 64-bit outputs of `np.random.PCG64(seed)`, in order."""
+    bitgen = np.random.PCG64(seed)
+    while True:
+        yield from bitgen.random_raw(_BLOCK).tolist()
+
+
+def _halves(words):
+    """32-bit words as numpy's `next_uint32` takes them from PCG64: the low
+    half of a raw word, then its high half on the next call. The next raw
+    word is pulled only when both halves are spent, and a double drawn from
+    `words` in between leaves a kept high half in place."""
+    for word in words:
+        yield word & _LOW32
+        yield word >> 32
+
+
+def _integer(halves, lo: int, hi: int) -> int:
+    """`Generator.integers(lo, hi + 1)` for a span of at most 2**32 values:
+    Lemire's multiply-and-reject on 32-bit words. A one-value range draws
+    nothing."""
+    n = hi - lo + 1
+    if n == 1:
+        return lo
+    m = next(halves) * n
+    if m & _LOW32 < n:  # rejection is possible only below n
+        threshold = (_TWO32 - n) % n
+        while m & _LOW32 < threshold:
+            m = next(halves) * n
+    return lo + (m >> 32)
+
+
 def generate(spec: WorkloadSpec, config: EnvConfig) -> list[Job]:
     """Sample a job sequence with one demand per resource of `config`, after
     checking the spec against the cluster dimensions. Pure in (spec, config):
-    the same pair always yields the identical sequence."""
+    the same pair always yields the identical sequence.
+
+    The list is decoded from the raw stream of `np.random.PCG64(spec.seed)`,
+    which NEP 19 keeps stable across numpy releases, by numpy's own rules, so
+    it equals the list drawn through `default_rng(spec.seed)`. Each step
+    draws `random() < rate`, a job then `random() < small_job_fraction`, its
+    duration, its dominant resource and one demand per resource, the last
+    three with `integers()`. `random()` is the top 53 bits of a raw word over
+    2**53; `integers()` takes 32-bit words (see `_halves` and `_integer`)."""
     validate_spec(spec, config)
-    rng = np.random.default_rng(spec.seed)
+    words = _raw_words(spec.seed)
+    halves = _halves(words)
+    rate = spec.rate * _TWO53
+    small = spec.small_job_fraction * _TWO53
+    dom_lo, dom_hi = spec.dominant_demand_range
+    other_lo, other_hi = spec.other_demand_range
+    resources = range(config.num_resources)
     jobs = []
     for t in range(spec.length):
-        if rng.random() >= spec.rate:
+        if next(words) >> 11 >= rate:
             continue
-        if rng.random() < spec.small_job_fraction:
+        if next(words) >> 11 < small:
             lo, hi = spec.small_duration_range
         else:
             lo, hi = spec.large_duration_range
-        duration = int(rng.integers(lo, hi + 1))
-        dominant = int(rng.integers(config.num_resources))
-        demand = []
-        for r in range(config.num_resources):
-            lo, hi = (
-                spec.dominant_demand_range
-                if r == dominant
-                else spec.other_demand_range
-            )
-            demand.append(int(rng.integers(lo, hi + 1)))
-        jobs.append(
-            Job(id=len(jobs), arrival=t, duration=duration, demand=tuple(demand))
-        )
+        duration = _integer(halves, lo, hi)
+        dominant = _integer(halves, 0, config.num_resources - 1)
+        demand = tuple([_integer(halves, dom_lo, dom_hi) if r == dominant
+                        else _integer(halves, other_lo, other_hi)
+                        for r in resources])
+        jobs.append(Job(len(jobs), t, duration, demand))
     return jobs
 
 

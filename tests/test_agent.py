@@ -498,7 +498,8 @@ def test_train_deterministic_given_seed():
 
 
 @pytest.mark.parametrize("bad", [{"episodes": -3}, {"episodes": 0, "seed": -1},
-                                 {"seed": -1}])
+                                 {"seed": -1}, {"seed": 1.5}, {"seed": True},
+                                 {"seed": "3"}])
 def test_train_rejects_negative_counts(bad):
     kwargs = {"episodes": 2, "seed": 0, **bad}
     with pytest.raises(ConfigError):

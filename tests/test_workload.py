@@ -1,7 +1,10 @@
+import hashlib
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rlsched.config import EnvConfig
 from rlsched.env import Job
@@ -84,10 +87,105 @@ def test_draw_sequences_seeds_list_k_from_the_key_and_k():
 
 
 @pytest.mark.parametrize("count", [0, 2])
-@pytest.mark.parametrize("key", [(-1, 0), (0, -1)])
+@pytest.mark.parametrize("key", [(-1, 0), (0, -1), (2.5,), (0, True), ("3", 0)])
 def test_draw_sequences_rejects_a_negative_key(key, count):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="seed must be"):
         draw_sequences(WorkloadSpec(), CFG, count, *key)
+
+
+def test_workload_spec_takes_a_numpy_integer_seed():
+    spec = WorkloadSpec(rate=0.9, seed=np.uint64(17))
+    assert generate(spec, CFG) == generate(replace(spec, seed=17), CFG)
+
+
+def oracle_generate(spec, config):
+    """`generate` written with numpy's `Generator` calls: the reference
+    that the raw-stream decoder must match job for job."""
+    rng = np.random.default_rng(spec.seed)
+    jobs = []
+    for t in range(spec.length):
+        if rng.random() >= spec.rate:
+            continue
+        if rng.random() < spec.small_job_fraction:
+            lo, hi = spec.small_duration_range
+        else:
+            lo, hi = spec.large_duration_range
+        duration = int(rng.integers(lo, hi + 1))
+        dominant = int(rng.integers(config.num_resources))
+        demand = []
+        for r in range(config.num_resources):
+            lo, hi = (
+                spec.dominant_demand_range
+                if r == dominant
+                else spec.other_demand_range
+            )
+            demand.append(int(rng.integers(lo, hi + 1)))
+        jobs.append(
+            Job(id=len(jobs), arrival=t, duration=duration, demand=tuple(demand))
+        )
+    return jobs
+
+
+@st.composite
+def spec_and_config(draw):
+    """Rates and fractions with their ends, lengths long enough to refill
+    the decoder's block of raw words, 1-4 resources, one-value ranges."""
+    def unit():
+        return draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+
+    def span(low):
+        lo = draw(st.integers(low, 6))
+        return lo, lo + draw(st.sampled_from([0, 1, 2, 6]))
+
+    spec = WorkloadSpec(
+        rate=unit(), length=draw(st.integers(0, 400)),
+        small_job_fraction=unit(), small_duration_range=span(1),
+        large_duration_range=span(1), dominant_demand_range=span(1),
+        other_demand_range=span(0), seed=draw(st.integers(0, 2**64)),
+    )
+    resources = draw(st.integers(1, 4))
+    return spec, EnvConfig(horizon=12, capacities=(12,) * resources)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_and_config())
+def test_generate_matches_numpy_generator_oracle(case):
+    spec, config = case
+    assert generate(spec, config) == oracle_generate(spec, config)
+
+
+@pytest.mark.parametrize("field, rng", [
+    ("small_duration_range", (1, 2**31 + 1)),
+    ("dominant_demand_range", (1, 2**32 - 1)),
+    ("other_demand_range", (0, 2**32 - 1)),  # 2**32 values, the widest
+], ids=["span-2**31+1", "span-2**32-1", "span-2**32"])
+def test_generate_matches_numpy_generator_oracle_on_wide_ranges(field, rng):
+    # 2**31 + 1 values reject about half the 32-bit words; 2**32 - 1 takes
+    # the threshold branch on almost every word
+    config = EnvConfig(horizon=2**32, capacities=(2**32,) * 3)
+    for seed in range(4):
+        spec = replace(WorkloadSpec(rate=0.9, length=200, seed=seed),
+                       **{field: rng})
+        assert generate(spec, config) == oracle_generate(spec, config)
+
+
+# sha256 of the 160 job lists below, one repr line per list, as numpy's
+# Generator drew them
+RECORDED_PRESET_JOBS = (
+    "0d39b3b751a363910399ecffcd68b7e9715a3977a2fd31da9e885ee1d7d35bf2")
+
+
+def test_generate_keeps_the_recorded_sweep_preset_job_lists():
+    """The job lists of the sweep preset's four rates and two seeds, 20 per
+    cell, drawn through `draw_sequences` by the sweep's key rule."""
+    digest = hashlib.sha256()
+    for rate_index, rate in enumerate((0.6, 0.7, 0.8, 0.9)):
+        for seed in (0, 1):
+            for jobs in draw_sequences(replace(WorkloadSpec(), rate=rate), CFG,
+                                       20, seed, rate_index):
+                digest.update(repr([(j.id, j.arrival, j.duration, j.demand)
+                                    for j in jobs]).encode() + b"\n")
+    assert digest.hexdigest() == RECORDED_PRESET_JOBS
 
 
 def test_invalid_specs_rejected():
@@ -109,8 +207,17 @@ def test_invalid_specs_rejected():
     (WorkloadSpec(small_job_fraction=float("nan")), CFG, "got nan"),
     (WorkloadSpec(dominant_demand_range=(3, 6)), EnvConfig(capacities=(10, 5)),
      "max demand 6 exceeds capacity 5"),
+    (WorkloadSpec(length=60.0), CFG, "length must be an int, got 60.0"),
+    (WorkloadSpec(length=True), CFG, "length must be an int, got True"),
+    (WorkloadSpec(small_duration_range=(1.5, 3)), CFG,
+     "small_duration_range bounds must be ints, got (1.5, 3)"),
+    (WorkloadSpec(other_demand_range=(True, 2)), CFG,
+     "other_demand_range bounds must be ints, got (True, 2)"),
+    (WorkloadSpec(large_duration_range=(1, 2**32 + 1)),
+     EnvConfig(horizon=2**33), "large_duration_range spans more than 2**32"),
 ], ids=["negative-length", "fraction-above-one", "negative-fraction",
-        "nan-fraction", "demand-above-smallest-capacity"])
+        "nan-fraction", "demand-above-smallest-capacity", "float-length",
+        "bool-length", "float-bound", "bool-bound", "span-above-2**32"])
 def test_validate_spec_names_the_bad_value(spec, config, fragment):
     with pytest.raises(SpecError) as err:
         validate_spec(spec, config)
