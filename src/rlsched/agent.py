@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import EnvConfig, check_seed
+from .config import EnvConfig, check_int, check_real
 from .env import ClusterEnv
 from .errors import ConfigError, ShapeError, TrainingDiverged
 from .metrics import episode_report, write_csv
@@ -57,19 +57,11 @@ class AgentConfig:
     init_scale: float = 1e-3
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        # chained comparisons are False for NaN, so these also reject NaN
+        check_real("gamma", self.gamma, 0, 1)
         for name in ("lr_actor", "lr_critic", "init_scale"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        if self.n_steps < 1:
-            raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not 0.0 <= self.entropy_coeff < math.inf:
-            raise ConfigError(
-                f"entropy_coeff must be finite and >= 0, got {self.entropy_coeff}"
-            )
+            check_real(name, getattr(self, name), 0, open_low=True)
+        check_int("n_steps", self.n_steps, 1)
+        check_real("entropy_coeff", self.entropy_coeff, 0)
         architecture_chain(self.architecture)
 
 
@@ -92,8 +84,7 @@ def n_step_returns(segment, gamma: float, value_fn, n: int):
     """
     if not segment:
         raise ShapeError("segment must be non-empty")
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    check_int("n", n, 1)
     length = len(segment)
     targets = np.empty(length, dtype=np.float64)
     advantages = np.empty(length, dtype=np.float64)
@@ -117,9 +108,10 @@ def n_step_returns(segment, gamma: float, value_fn, n: int):
 class ActorCriticAgent:
     """Policy + value networks over the environment's state encoding."""
 
-    def __init__(self, observation_shape, num_actions, config=None, seed=0,
-                 chain=None):
-        check_seed(seed)
+    def __init__(self, observation_shape, num_actions: int, config=None,
+                 seed: int = 0, chain=None):
+        check_int("seed", seed)
+        check_int("num_actions", num_actions, 1)
         self.config = config or AgentConfig()
         input_shape = (1, *observation_shape)
         if chain is None:
@@ -317,8 +309,7 @@ def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
     """
     if not sequences:
         raise ConfigError("need at least one job sequence to train on")
-    if episodes < 0:
-        raise ConfigError(f"episodes must be >= 0, got {episodes}")
+    check_int("episodes", episodes)
     env = ClusterEnv(env_config)
     agent = ActorCriticAgent(env.observation_shape(), env_config.num_actions,
                              config=agent_config, seed=seed)

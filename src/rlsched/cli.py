@@ -16,7 +16,9 @@ from pathlib import Path
 
 from . import __version__
 from .agent import ARCHITECTURE_NAMES, AgentConfig, train
-from .config import EnvConfig, from_section, read_yaml, section_values
+from .config import (
+    EnvConfig, check_int, from_section, read_yaml, section_values,
+)
 from .errors import ConfigError, RlschedError
 from .experiment import (
     EPISODE_COLUMNS,
@@ -46,6 +48,10 @@ class TrainSpec:
 
     episodes: int = 500
     sequences: int = 1
+
+    def __post_init__(self):
+        check_int("episodes", self.episodes)
+        check_int("sequences", self.sequences, 1)
 
 
 SECTIONS = {"env": EnvConfig, "workload": WorkloadSpec, "agent": AgentConfig,

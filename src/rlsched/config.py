@@ -1,12 +1,18 @@
-"""Cluster/simulator configuration and the config file format.
+"""Cluster/simulator configuration, the config file format and the two
+numeric rules.
 
 The on-disk format is YAML. `section_values` rejects unknown keys and
 converts each value to its field's annotated type, so typos and malformed
-values fail loudly instead of running with defaults.
+values fail loudly instead of running with defaults. Every config class and
+every public numeric argument of the library is then checked by one of two
+rules, whether it came from a file, a flag or a direct call: `check_int` for
+a count, a size or a seed, and `check_real` for a rate, a step size or a
+scale.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import typing
 from dataclasses import dataclass
@@ -36,18 +42,14 @@ class EnvConfig:
     episode_limit: int = 2000
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        check_int("horizon", self.horizon, 1)
         if not self.capacities:
             raise ConfigError("capacities must be non-empty")
-        if any(c < 1 for c in self.capacities):
-            raise ConfigError(f"capacities must be positive, got {self.capacities}")
-        if self.queue_slots < 1:
-            raise ConfigError(f"queue_slots must be >= 1, got {self.queue_slots}")
-        if self.backlog_size < 0:
-            raise ConfigError(f"backlog_size must be >= 0, got {self.backlog_size}")
-        if self.episode_limit < 1:
-            raise ConfigError(f"episode_limit must be >= 1, got {self.episode_limit}")
+        for r, capacity in enumerate(self.capacities):
+            check_int(f"capacities[{r}]", capacity, 1)
+        check_int("queue_slots", self.queue_slots, 1)
+        check_int("backlog_size", self.backlog_size)
+        check_int("episode_limit", self.episode_limit, 1)
 
     @property
     def num_resources(self) -> int:
@@ -59,13 +61,28 @@ class EnvConfig:
         return self.queue_slots + 1
 
 
-def check_seed(seed: int) -> None:
-    """Seeds feed numpy's SeedSequence, which takes non-negative integers:
-    an int or a numpy integer, not a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+def check_int(name: str, value, low: int = 0, error=ConfigError) -> None:
+    """The rule for a count, a size or a seed: an int or a numpy integer,
+    never a bool, of at least `low`. Raises `error` naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+
+
+def check_real(name: str, value, low, high=math.inf, *, open_low=False,
+               error=ConfigError) -> None:
+    """The rule for a rate, a step size or a scale: a real number, never a
+    bool, in [low, high], or above `low` when `open_low` is set. An infinite
+    `high` means finite; NaN fails every range. Raises `error` naming
+    `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    above = low < value if open_low else low <= value
+    if not (above and (value < high if high == math.inf else value <= high)):
+        rule = (f"finite and {'>' if open_low else '>='} {low}" if high == math.inf
+                else f"in {'(' if open_low else '['}{low}, {high}]")
+        raise error(f"{name} must be {rule}, got {value}")
 
 
 def _convert(tp, value):

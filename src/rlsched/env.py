@@ -28,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from collections import deque
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -69,7 +70,19 @@ def validate_jobs(jobs, config: EnvConfig) -> None:
         seen.add(job.id)
 
 
+_INTS = (int, np.integer)
+
+
 def _job_fault(job: Job, config: EnvConfig, seen_ids) -> str | None:
+    # reset runs this on every episode, so exact ints pass one type test;
+    # numpy integers, which `config.check_int` accepts too, take the slow path
+    if not type(job.id) is type(job.arrival) is type(job.duration) is int:
+        for name in ("id", "arrival", "duration"):
+            value = getattr(job, name)
+            if isinstance(value, bool) or not isinstance(value, _INTS):
+                return f"{name} must be an int, got {value!r}"
+    if type(job.demand) is not tuple and not isinstance(job.demand, Sequence):
+        return f"demand must be a sequence, got {job.demand!r}"
     if job.id in seen_ids:
         return "duplicate job id"
     if job.id < 0:
@@ -84,6 +97,8 @@ def _job_fault(job: Job, config: EnvConfig, seen_ids) -> str | None:
         return (f"demand has {len(job.demand)} components, "
                 f"expected {config.num_resources}")
     for r, (d, cap) in enumerate(zip(job.demand, config.capacities)):
+        if type(d) is not int and (isinstance(d, bool) or not isinstance(d, _INTS)):
+            return f"resource {r} demand must be an int, got {d!r}"
         if d < 0:
             return f"resource {r} demand {d} is negative"
         if d > cap:

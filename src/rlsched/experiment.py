@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .agent import ActorCriticAgent, AgentConfig
 from .baselines import random_select, run_greedy, sjf_select, tetris_select
-from .config import EnvConfig, check_seed
+from .config import EnvConfig, check_int
 from .env import ClusterEnv, Job
 from .errors import ConfigError
 from .metrics import EpisodeReport, format_cell, read_csv, write_csv
@@ -65,19 +65,25 @@ class ExperimentSpec:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} repeats a value: {list(values)}")
-        if self.episodes < 0:
-            raise ConfigError(f"episodes must be >= 0, got {self.episodes}")
-        if self.summary_window < 0:
-            raise ConfigError("summary_window must be >= 0 (0 averages every "
-                              f"episode), got {self.summary_window}")
+        check_int("episodes", self.episodes)
+        check_int("summary_window", self.summary_window)  # 0: every episode
         for seed in self.seeds:
-            check_seed(seed)
+            check_int("seed", seed)
         for rate in self.job_rates:
             validate_spec(dataclasses.replace(self.workload, rate=rate), self.env)
 
 
+def _json_value(value):
+    """A numpy scalar, which the spec's checks accept, as its Python value;
+    the `default` of every JSON dump of a spec."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def config_hash(spec: ExperimentSpec) -> str:
-    canonical = json.dumps(dataclasses.asdict(spec), sort_keys=True)
+    canonical = json.dumps(dataclasses.asdict(spec), sort_keys=True,
+                           default=_json_value)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -202,7 +208,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path):
         "cells": cells,
     }
     with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_value)
         fh.write("\n")
     if error is not None:
         raise error

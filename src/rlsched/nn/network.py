@@ -115,6 +115,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from ..config import check_real
 from ..errors import ConfigError, ShapeError
 
 ACTIVATIONS = ("relu", "none")
@@ -539,8 +540,7 @@ class Network:
 
     def sgd_step(self, grads, lr: float) -> None:
         """params <- params - lr * grads, elementwise, in place."""
-        if not 0 <= lr < math.inf:
-            raise ConfigError(f"lr must be finite and >= 0, got {lr}")
+        check_real("lr", lr, 0)
         if len(grads) != len(self.params):
             raise ShapeError("gradient list does not match parameter list")
         for params, grad in zip(self.params, grads):

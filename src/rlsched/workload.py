@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import EnvConfig, check_seed
+from .config import EnvConfig, check_int, check_real
 from .env import Job, validate_jobs
 from .errors import ConfigError, SpecError, ValidationError
 from .metrics import read_csv, write_csv
@@ -44,7 +44,7 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_seed(self.seed)
+        check_int("seed", self.seed)
 
 
 def derived_seed(*key: int) -> int:
@@ -73,16 +73,10 @@ def _check_range(name: str, rng: tuple[int, int], low: int) -> None:
 
 
 def validate_spec(spec: WorkloadSpec, config: EnvConfig) -> None:
-    if not 0.0 <= spec.rate <= 1.0:
-        raise SpecError(f"rate must be in [0, 1], got {spec.rate}")
-    if not _is_int(spec.length):
-        raise SpecError(f"length must be an int, got {spec.length!r}")
-    if spec.length < 0:
-        raise SpecError(f"length must be >= 0, got {spec.length}")
-    if not 0.0 <= spec.small_job_fraction <= 1.0:
-        raise SpecError(
-            f"small_job_fraction must be in [0, 1], got {spec.small_job_fraction}"
-        )
+    check_real("rate", spec.rate, 0, 1, error=SpecError)
+    check_int("length", spec.length, error=SpecError)
+    check_real("small_job_fraction", spec.small_job_fraction, 0, 1,
+               error=SpecError)
     _check_range("small_duration_range", spec.small_duration_range, 1)
     _check_range("large_duration_range", spec.large_duration_range, 1)
     _check_range("dominant_demand_range", spec.dominant_demand_range, 1)
@@ -170,10 +164,11 @@ def draw_sequences(spec: WorkloadSpec, config: EnvConfig, count: int,
                    *key: int) -> list[list[Job]]:
     """`count` job lists from `spec`, list k seeded by `derived_seed(*key, k)`:
     the one seed rule. A sweep cell's key is (seed, rate index) and a
-    training run's is (seed, `cli.TRAINING_KEY`). Every key int is checked
-    with `check_seed`, even when `count` is 0."""
+    training run's is (seed, `cli.TRAINING_KEY`). `count` and every key
+    int are checked with `check_int`, even when `count` is 0."""
+    check_int("count", count)
     for part in key:
-        check_seed(part)
+        check_int("seed", part)
     return [generate(replace(spec, seed=derived_seed(*key, k)), config)
             for k in range(count)]
 
@@ -211,8 +206,7 @@ def load_trace(
     the earliest is step 0 and the result is sorted by arrival.
     """
     mapping = mapping or TraceMapping()
-    if not 0.0 < time_scale < math.inf:  # False for NaN too
-        raise ConfigError(f"time_scale must be finite and > 0, got {time_scale}")
+    check_real("time_scale", time_scale, 0, open_low=True)
     if len(mapping.demand_columns) != config.num_resources:
         raise ConfigError(
             f"mapping names {len(mapping.demand_columns)} demand columns, "

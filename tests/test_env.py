@@ -82,10 +82,24 @@ def test_reset_rejects_duplicate_ids():
         ([job(8, demand=(1, 1, 1))], 8, "demand has 3 components, expected 2"),
         ([job(9, demand=(1, -1))], 9, "resource 1 demand -1 is negative"),
         ([job(1), job(10, demand=(0, 0))], 10, "demand must be positive somewhere"),
+        ([job(0), job(1, duration=2.5)], 1, "duration must be an int, got 2.5"),
+        ([job(2, arrival=0.5, duration=2)], 2, "arrival must be an int, got 0.5"),
+        ([job(3, duration=True)], 3, "duration must be an int, got True"),
+        ([job(True)], True, "id must be an int, got True"),
+        ([job("4")], "4", "id must be an int, got '4'"),
+        ([job(5, arrival=np.float64(1.0))], 5,
+         "arrival must be an int, got np.float64(1.0)"),
+        ([job(6, demand=(1.5, 1))], 6, "resource 0 demand must be an int, got 1.5"),
+        ([job(7, demand=(1, True))], 7, "resource 1 demand must be an int, got True"),
+        ([job(8, demand=(1, "1"))], 8, "resource 1 demand must be an int, got '1'"),
+        ([job(9, demand=None)], 9, "demand must be a sequence, got None"),
+        ([job(10, demand=2)], 10, "demand must be a sequence, got 2"),
     ],
     ids=["oversized-demand", "duplicate-id", "negative-id", "beyond-horizon",
          "negative-arrival", "wrong-demand-length", "negative-demand",
-         "all-zero-demand"],
+         "all-zero-demand", "float-duration", "float-arrival", "bool-duration",
+         "bool-id", "str-id", "numpy-float-arrival", "float-demand",
+         "bool-demand", "str-demand", "none-demand", "int-demand"],
 )
 def test_reset_rejection_carries_the_job_id(jobs, bad_id, fault):
     assert issubclass(ValidationError, ConfigError)
@@ -93,6 +107,21 @@ def test_reset_rejection_carries_the_job_id(jobs, bad_id, fault):
         make_env().reset(jobs)
     assert err.value.job_id == bad_id
     assert str(err.value) == f"job {bad_id}: {fault}"
+
+
+def test_reset_takes_numpy_integer_fields():
+    plain = [job(0, duration=3, demand=(2, 1)), job(1, arrival=2, demand=(1, 4))]
+    numpy_ints = [Job(np.int64(j.id), np.int32(j.arrival), np.int64(j.duration),
+                      tuple(np.int64(d) for d in j.demand)) for j in plain]
+    a, b = make_env().reset(plain), make_env().reset(numpy_ints)
+    while not a.is_done():
+        fitting = a.fitting_jobs()
+        action = fitting[0][0] if fitting else 0
+        assert a.step(action).reward == b.step(action).reward
+        assert np.array_equal(a.encode_state(), b.encode_state())
+    assert b.is_done()
+    assert [(j.started_at, j.finished_at) for j in a.completed] == \
+        [(j.started_at, j.finished_at) for j in b.completed]
 
 
 # -- earliest_offset ------------------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from rlsched import workload
@@ -63,6 +64,19 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     run_experiment(spec, tmp_path / "b")
     for name in ("episodes.csv", "summary.csv", "manifest.json"):
         assert read_bytes(tmp_path / "a" / name) == read_bytes(tmp_path / "b" / name)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"seeds": (np.int64(0), np.int32(1))},
+    {"episodes": np.int64(3)},
+    {"env": replace(SMALL_ENV, horizon=np.int64(8))},
+], ids=["numpy-seeds", "numpy-episodes", "numpy-horizon"])
+def test_numpy_integers_in_the_spec_write_the_plain_int_files(tmp_path, overrides):
+    run_experiment(small_spec(), tmp_path / "plain")
+    run_experiment(small_spec(**overrides), tmp_path / "numpy")
+    for name in ("episodes.csv", "summary.csv", "manifest.json"):
+        assert read_bytes(tmp_path / "numpy" / name) == \
+            read_bytes(tmp_path / "plain" / name)
 
 
 def test_sweep_zero_seeds_empty_results(tmp_path):
