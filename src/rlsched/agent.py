@@ -228,10 +228,16 @@ class ActorCriticAgent:
 
     def load(self, directory: str | Path) -> None:
         """Load a checkpoint; each file's architecture fingerprint must match
-        the network it is loaded into."""
+        the network it is loaded into. A failed load changes neither network:
+        `load_params` replaces parameter tuples and never writes into them."""
         directory = Path(directory)
+        actor_params = list(self.actor.params)
         load_params(self.actor, directory / "actor.npz")
-        load_params(self.critic, directory / "critic.npz")
+        try:
+            load_params(self.critic, directory / "critic.npz")
+        except BaseException:
+            self.actor.params[:] = actor_params
+            raise
 
 
 @dataclass

@@ -188,7 +188,6 @@ class ClusterEnv:
         self._row_patterns = {
             cap: (np.arange(cap + 1)[:, None] > np.arange(cap)).astype(np.float32)
             for cap in self.config.capacities}
-        self.jobs: list[Job] = []
         self.reset([])
 
     # -- episode lifecycle ---------------------------------------------------
@@ -197,7 +196,11 @@ class ClusterEnv:
         """Start an episode over `jobs` (sorted by arrival; copied, so the
         caller's list is never mutated). Deterministic in (config, jobs)."""
         config = self.config
-        incoming = [j.fresh_copy() for j in jobs]
+        try:
+            incoming = [j.fresh_copy() for j in jobs]
+        except AttributeError as exc:  # an entry that is not a Job
+            raise ValidationError(
+                f"each job must be a Job, got {type(exc.obj).__name__}") from None
         validate_jobs(incoming, config)
         incoming.sort(key=lambda j: j.arrival)  # stable: ties keep input order
 
@@ -233,15 +236,6 @@ class ClusterEnv:
                 self.queue[i] = waiting.popleft()
 
     # -- scheduling -----------------------------------------------------------
-
-    def _allocate(self, slot_index: int, offset: int) -> Job:
-        job = self.queue[slot_index]
-        self.image.place(job, offset)
-        job.started_at = self.clock + offset
-        self.queue[slot_index] = None
-        self.running.append(job)
-        self._rebalance()
-        return job
 
     def advance_time(self) -> tuple[float, list[Job]]:
         """One simulated step: reward for the elapsed step (computed before
@@ -288,21 +282,18 @@ class ClusterEnv:
         if self.is_done():
             raise EpisodeFinished("step() called on a finished episode")
 
-        reward = 0.0
-        invalid = False
-        if action == 0:
+        job = self.queue[action - 1] if action else None
+        offset = None if job is None else self.image.earliest_offset(job)
+        if offset is None:  # void, an empty slot, or a job that fits nowhere
             reward, _ = self.advance_time()
-        else:
-            slot = action - 1
-            job = self.queue[slot]
-            offset = self.image.earliest_offset(job) if job is not None else None
-            if job is not None and offset is not None:
-                self._allocate(slot, offset)
-            else:
-                invalid = True
-                reward, _ = self.advance_time()
-
-        return StepOutcome(reward, self.is_done(), {"invalid_action": invalid})
+            return StepOutcome(reward, self.is_done(),
+                               {"invalid_action": bool(action)})
+        self.image.place(job, offset)
+        job.started_at = self.clock + offset
+        self.queue[action - 1] = None
+        self.running.append(job)
+        self._rebalance()
+        return StepOutcome(0.0, self.is_done(), {"invalid_action": False})
 
     def is_done(self) -> bool:
         return len(self.completed) == len(self.jobs) or (
@@ -311,14 +302,10 @@ class ClusterEnv:
 
     # -- observation ----------------------------------------------------------
 
-    def backlog_block_width(self) -> int:
-        h = self.config.horizon
-        return math.ceil(self.config.backlog_size / h)
-
     def observation_shape(self) -> tuple[int, int]:
         cfg = self.config
         width = sum(cap * (1 + cfg.queue_slots) for cap in cfg.capacities)
-        return cfg.horizon, width + self.backlog_block_width()
+        return cfg.horizon, width + math.ceil(cfg.backlog_size / cfg.horizon)
 
     def encode_state(self) -> np.ndarray:
         """Fixed-shape 2-D image: per resource, the cluster occupancy block

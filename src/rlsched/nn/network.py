@@ -109,6 +109,7 @@ and order it would have on fresh arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -133,6 +134,16 @@ class LayerSpec:
         if self.kind == "dense":
             return f"dense{self.units}:{self.activation}"
         return self.kind
+
+
+def _units(spec: LayerSpec, what: str) -> int:
+    """A conv3's filter count or a dense layer's width: an int, never a
+    bool, of at least 1."""
+    if isinstance(spec.units, bool) or not isinstance(spec.units, numbers.Integral):
+        raise ConfigError(f"{spec.kind} {what} must be an int, got {spec.units!r}")
+    if spec.units < 1:
+        raise ConfigError(f"{spec.kind} needs {what} >= 1, got {spec.units}")
+    return spec.units
 
 
 def conv3(filters: int, activation: str = "relu") -> LayerSpec:
@@ -275,9 +286,7 @@ class Network:
             if spec.kind == "conv3":
                 if len(shape) != 3:
                     raise ConfigError(f"conv3 needs (C, H, W) input, got {shape}")
-                if spec.units < 1:
-                    raise ConfigError(f"conv3 needs filters >= 1, got {spec.units}")
-                shape = (spec.units, shape[1], shape[2])
+                shape = (_units(spec, "filters"), shape[1], shape[2])
             elif spec.kind == "maxpool2":
                 if len(shape) != 3:
                     raise ConfigError(f"maxpool2 needs (C, H, W) input, got {shape}")
@@ -289,9 +298,7 @@ class Network:
             elif spec.kind == "dense":
                 if len(shape) != 1:
                     raise ConfigError(f"dense needs flat input, got {shape}")
-                if spec.units < 1:
-                    raise ConfigError(f"dense needs width >= 1, got {spec.units}")
-                shape = (spec.units,)
+                shape = (_units(spec, "width"),)
             else:
                 raise ConfigError(f"unknown layer kind {spec.kind!r}")
             shapes.append(shape)

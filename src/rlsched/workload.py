@@ -44,6 +44,15 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # the spec's own rules; `validate_spec` adds the cluster's
+        check_real("rate", self.rate, 0, 1, error=SpecError)
+        check_int("length", self.length, error=SpecError)
+        check_real("small_job_fraction", self.small_job_fraction, 0, 1,
+                   error=SpecError)
+        _check_range("small_duration_range", self.small_duration_range, 1)
+        _check_range("large_duration_range", self.large_duration_range, 1)
+        _check_range("dominant_demand_range", self.dominant_demand_range, 1)
+        _check_range("other_demand_range", self.other_demand_range, 0)
         check_int("seed", self.seed)
 
 
@@ -73,14 +82,8 @@ def _check_range(name: str, rng: tuple[int, int], low: int) -> None:
 
 
 def validate_spec(spec: WorkloadSpec, config: EnvConfig) -> None:
-    check_real("rate", spec.rate, 0, 1, error=SpecError)
-    check_int("length", spec.length, error=SpecError)
-    check_real("small_job_fraction", spec.small_job_fraction, 0, 1,
-               error=SpecError)
-    _check_range("small_duration_range", spec.small_duration_range, 1)
-    _check_range("large_duration_range", spec.large_duration_range, 1)
-    _check_range("dominant_demand_range", spec.dominant_demand_range, 1)
-    _check_range("other_demand_range", spec.other_demand_range, 0)
+    """The rules that need the cluster: every job fits its horizon and its
+    smallest capacity. The spec checked its own fields when it was built."""
     max_dur = max(spec.small_duration_range[1], spec.large_duration_range[1])
     if max_dur > config.horizon:
         raise SpecError(f"max duration {max_dur} exceeds horizon {config.horizon}")

@@ -549,3 +549,18 @@ def test_agent_checkpoint_architecture_mismatch(tmp_path):
                              seed=0)
     with pytest.raises(ConfigError):
         other.load(tmp_path / "ckpt")
+
+
+def test_a_failed_agent_load_changes_neither_network(tmp_path):
+    saved = ActorCriticAgent((4, 13), 3, config=AgentConfig(), seed=0)
+    saved.save(tmp_path / "ckpt")
+    (tmp_path / "ckpt" / "critic.npz").write_text("not a checkpoint")
+    agent = ActorCriticAgent((4, 13), 3, config=AgentConfig(), seed=1)
+    before = {name: [a.copy() for a in net.parameter_arrays()]
+              for name, net in (("actor", agent.actor), ("critic", agent.critic))}
+    with pytest.raises(ConfigError, match="critic.npz"):
+        agent.load(tmp_path / "ckpt")
+    for name, net in (("actor", agent.actor), ("critic", agent.critic)):
+        after = net.parameter_arrays()
+        assert len(after) == len(before[name])
+        assert all(np.array_equal(a, b) for a, b in zip(after, before[name])), name

@@ -145,19 +145,16 @@ def _numeric_fields():
 
 
 def _with(cls, name, value):
-    """`cls` built with field `name` set to `value` and checked as its users
-    check it; a tuple field gets `value` in every entry."""
+    """`cls` built with field `name` set to `value`; a tuple field gets
+    `value` in every entry."""
     default = getattr(cls(), name)
     if isinstance(default, tuple):
         value = (value,) * (len(default) if name.endswith("_range") else 1)
-    built = cls(**{name: value})
-    if cls is WorkloadSpec:
-        validate_spec(built, EnvConfig())
-    return built
+    return cls(**{name: value})
 
 
 def _error_of(cls, name):
-    """`validate_spec` raises SpecError, also for a sweep's job rates."""
+    """A workload spec's rules raise SpecError, also for a sweep's job rates."""
     if (cls is WorkloadSpec and name != "seed") or name == "job_rates":
         return SpecError
     return ConfigError

@@ -109,6 +109,15 @@ def test_reset_rejection_carries_the_job_id(jobs, bad_id, fault):
     assert str(err.value) == f"job {bad_id}: {fault}"
 
 
+@pytest.mark.parametrize("entry", [(0, 0, 1, (1, 1)), {"id": 0}, None],
+                         ids=["tuple", "dict", "none"])
+def test_reset_rejects_an_entry_that_is_not_a_job(entry):
+    with pytest.raises(ValidationError) as err:
+        make_env().reset([job(0), entry])
+    assert err.value.job_id is None
+    assert str(err.value) == f"each job must be a Job, got {type(entry).__name__}"
+
+
 def test_reset_takes_numpy_integer_fields():
     plain = [job(0, duration=3, demand=(2, 1)), job(1, arrival=2, demand=(1, 4))]
     numpy_ints = [Job(np.int64(j.id), np.int32(j.arrival), np.int64(j.duration),
@@ -257,6 +266,22 @@ def test_unfittable_slot_action_advances_time():
     out = env.step(2)
     assert out.info["invalid_action"]
     assert env.clock == 1
+
+
+@pytest.mark.parametrize("to_action", [int, np.int64], ids=["int", "np.int64"])
+def test_invalid_action_flag_is_a_python_bool_on_every_outcome(to_action):
+    env = make_env(capacities=(4, 4), horizon=2)
+    env.reset([job(0, duration=2, demand=(4, 4)), job(1, duration=2, demand=(4, 4))])
+    outcomes = {}
+    outcomes["placement"] = env.step(to_action(1))
+    outcomes["unfittable"] = env.step(to_action(2))  # the horizon is full
+    outcomes["void"] = env.step(to_action(0))
+    outcomes["empty-slot"] = env.step(to_action(3))
+    flags = {name: out.info["invalid_action"] for name, out in outcomes.items()}
+    assert flags == {"placement": False, "unfittable": True, "void": False,
+                     "empty-slot": True}
+    assert all(type(flag) is bool for flag in flags.values())
+    assert env.clock == 3
 
 
 # -- advance_time ----------------------------------------------------------------

@@ -201,9 +201,13 @@ def test_bad_chains_rejected():
     ([LayerSpec("flatten", activation="relu")], (1, 4, 4),
      "flatten takes no activation, got 'relu'"),
     ([dense(0)], (3,), "dense needs width >= 1, got 0"),
+    ([dense(2.5)], (3,), "dense width must be an int, got 2.5"),
+    ([dense(True)], (3,), "dense width must be an int, got True"),
+    ([conv3("4")], (1, 4, 4), "conv3 filters must be an int, got '4'"),
 ], ids=["unknown-activation", "unknown-kind", "pool-on-flat-input",
         "pool-on-small-input", "pool-with-activation", "flatten-with-activation",
-        "zero-width-dense"])
+        "zero-width-dense", "float-width-dense", "bool-width-dense",
+        "str-filters-conv3"])
 def test_chain_checks_name_the_bad_value(layers, shape, message):
     with pytest.raises(ConfigError) as err:
         Network(layers, input_shape=shape)

@@ -199,28 +199,28 @@ def test_invalid_specs_rejected():
         generate(WorkloadSpec(small_duration_range=5), CFG)
 
 
-@pytest.mark.parametrize("spec, config, fragment", [
-    (WorkloadSpec(length=-1), CFG, "length must be >= 0, got -1"),
-    (WorkloadSpec(small_job_fraction=1.5), CFG,
+@pytest.mark.parametrize("fields, config, fragment", [
+    ({"length": -1}, CFG, "length must be >= 0, got -1"),
+    ({"small_job_fraction": 1.5}, CFG,
      "small_job_fraction must be in [0, 1], got 1.5"),
-    (WorkloadSpec(small_job_fraction=-0.1), CFG, "got -0.1"),
-    (WorkloadSpec(small_job_fraction=float("nan")), CFG, "got nan"),
-    (WorkloadSpec(dominant_demand_range=(3, 6)), EnvConfig(capacities=(10, 5)),
+    ({"small_job_fraction": -0.1}, CFG, "got -0.1"),
+    ({"small_job_fraction": float("nan")}, CFG, "got nan"),
+    ({"dominant_demand_range": (3, 6)}, EnvConfig(capacities=(10, 5)),
      "max demand 6 exceeds capacity 5"),
-    (WorkloadSpec(length=60.0), CFG, "length must be an int, got 60.0"),
-    (WorkloadSpec(length=True), CFG, "length must be an int, got True"),
-    (WorkloadSpec(small_duration_range=(1.5, 3)), CFG,
+    ({"length": 60.0}, CFG, "length must be an int, got 60.0"),
+    ({"length": True}, CFG, "length must be an int, got True"),
+    ({"small_duration_range": (1.5, 3)}, CFG,
      "small_duration_range bounds must be ints, got (1.5, 3)"),
-    (WorkloadSpec(other_demand_range=(True, 2)), CFG,
+    ({"other_demand_range": (True, 2)}, CFG,
      "other_demand_range bounds must be ints, got (True, 2)"),
-    (WorkloadSpec(large_duration_range=(1, 2**32 + 1)),
+    ({"large_duration_range": (1, 2**32 + 1)},
      EnvConfig(horizon=2**33), "large_duration_range spans more than 2**32"),
 ], ids=["negative-length", "fraction-above-one", "negative-fraction",
         "nan-fraction", "demand-above-smallest-capacity", "float-length",
         "bool-length", "float-bound", "bool-bound", "span-above-2**32"])
-def test_validate_spec_names_the_bad_value(spec, config, fragment):
+def test_validate_spec_names_the_bad_value(fields, config, fragment):
     with pytest.raises(SpecError) as err:
-        validate_spec(spec, config)
+        validate_spec(WorkloadSpec(**fields), config)
     assert fragment in str(err.value)
 
 
