@@ -20,8 +20,8 @@ from .config import EnvConfig, check_int, check_real
 from .env import ClusterEnv
 from .errors import ConfigError, ShapeError, TrainingDiverged
 from .metrics import episode_report, write_csv
-from .nn import Network, conv3, dense, flatten, maxpool2, softmax
-from .nn.checkpoint import load_params, save_params
+from .nn import Network, conv3, dense, fingerprint, flatten, maxpool2, softmax
+from .nn.checkpoint import load_params, save_params, saved_fingerprint
 
 # Feature chains of the supported network families (head not included); fc
 # has one hidden layer of 128 units. LayerSpec is frozen, so chains share specs.
@@ -44,6 +44,19 @@ def architecture_chain(name: str):
             f"unknown architecture {name!r}; pick from {ARCHITECTURE_NAMES}"
         )
     return list(ARCHITECTURES[name])
+
+
+def checkpoint_architecture(directory, observation_shape, num_actions) -> str:
+    """The ARCHITECTURES name whose actor, on this state shape and action
+    count, has the fingerprint saved in `directory`; else a ConfigError."""
+    path = Path(directory) / "actor.npz"
+    saved, input_shape = saved_fingerprint(path), (1, *observation_shape)
+    for name, chain in ARCHITECTURES.items():
+        if saved == fingerprint(chain + (dense(num_actions),), input_shape):
+            return name
+    raise ConfigError(f"{path}: checkpoint architecture {saved!r} is none of "
+                      f"{ARCHITECTURE_NAMES} on input {input_shape} with "
+                      f"{num_actions} actions")
 
 
 @dataclass(frozen=True)

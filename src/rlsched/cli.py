@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a policy")
     p.add_argument("--config", help="harness config file (YAML)")
     p.add_argument("--policy", required=True, help=" | ".join(POLICY_KINDS))
-    p.add_argument("--checkpoint", help="checkpoint directory for a2c")
+    p.add_argument("--checkpoint",
+                   help="checkpoint directory for a2c; its saved network is used")
     p.add_argument("--rate", help="job arrival rate (default workload.rate)")
     p.add_argument("--episodes", help="default experiment.episodes")
     p.add_argument("--seed", default=0)
@@ -229,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates", help="comma-separated job rates")
     p.add_argument("--seeds", help="comma-separated seeds")
     p.add_argument("--episodes")
-    p.add_argument("--checkpoint", help="checkpoint directory for a2c cells")
+    p.add_argument("--checkpoint",
+                   help="checkpoint directory for a2c cells; its saved network is used")
     p.add_argument("--out", required=True, help="results directory")
     p.set_defaults(func=cmd_sweep)
 

@@ -61,10 +61,15 @@ class EnvConfig:
         return self.queue_slots + 1
 
 
+def is_int(value) -> bool:
+    """The type rule for an int: an int or a numpy integer, never a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_int(name: str, value, low: int = 0, error=ConfigError) -> None:
-    """The rule for a count, a size or a seed: an int or a numpy integer,
-    never a bool, of at least `low`. Raises `error` naming `name`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    """The rule for a count, a size or a seed: `is_int`, of at least `low`.
+    Raises `error` naming `name`."""
+    if not is_int(value):
         raise error(f"{name} must be an int, got {value!r}")
     if value < low:
         raise error(f"{name} must be >= {low}, got {value}")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .agent import ActorCriticAgent, AgentConfig
+from .agent import ActorCriticAgent, AgentConfig, checkpoint_architecture
 from .baselines import random_select, run_greedy, sjf_select, tetris_select
 from .config import EnvConfig, check_int
 from .env import ClusterEnv, Job
@@ -100,8 +100,10 @@ def _build_policy(kind: str, spec: ExperimentSpec, env: ClusterEnv,
         rng = np.random.default_rng(np.random.SeedSequence([seed, rate_index, 0xA5]))
         return lambda env: random_select(env, rng)
     # "a2c": __post_init__ admits only POLICY_KINDS and requires a checkpoint
-    agent = ActorCriticAgent(env.observation_shape(), spec.env.num_actions,
-                             config=spec.agent, seed=seed)
+    shape = env.observation_shape()
+    name = checkpoint_architecture(spec.checkpoint, shape, spec.env.num_actions)
+    agent = ActorCriticAgent(shape, spec.env.num_actions, seed=seed,
+                             config=dataclasses.replace(spec.agent, architecture=name))
     agent.load(spec.checkpoint)
     return lambda env: agent.act(env.encode_state(), greedy=True)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 from .errors import IncompleteJob, NotStarted, ParseError
 
@@ -81,20 +82,32 @@ def read_csv(path, columns, parse) -> list:
     record maps the header's column names to the cells of one line. A file
     without a header, or whose header lacks one of `columns`, is a
     ParseError at line 1; a ValueError or TypeError from `parse` is a
-    ParseError at the record's line."""
+    ParseError at the record's line, and a byte the file's encoding cannot
+    decode is one at the line that holds it."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError("empty file, expected a header row", line=1)
-        missing = [c for c in columns if c not in reader.fieldnames]
-        if missing:
-            raise ParseError(f"missing columns {missing}", line=1)
-        parsed = []
-        for record in reader:
+        try:
+            if reader.fieldnames is None:
+                raise ParseError("empty file, expected a header row", line=1)
+            missing = [c for c in columns if c not in reader.fieldnames]
+            if missing:
+                raise ParseError(f"missing columns {missing}", line=1)
+            parsed = []
+            for record in reader:
+                try:
+                    parsed.append(parse(record))
+                except (TypeError, ValueError) as exc:
+                    raise ParseError(str(exc), line=reader.line_num) from exc
+        except UnicodeDecodeError:
+            # the file decodes in chunks ahead of the reader's line: decode it
+            # whole to find the line of the first bad byte
+            raw = Path(path).read_bytes()
             try:
-                parsed.append(parse(record))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(str(exc), line=reader.line_num) from exc
+                raw.decode(fh.encoding)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not {fh.encoding} text: {exc.reason}",
+                                 line=raw.count(b"\n", 0, exc.start) + 1) from None
+            raise
         return parsed
 
 

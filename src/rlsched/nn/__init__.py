@@ -3,6 +3,7 @@ from .network import (
     Network,
     conv3,
     dense,
+    fingerprint,
     flatten,
     maxpool2,
     softmax,
@@ -15,6 +16,7 @@ __all__ = [
     "Network",
     "conv3",
     "dense",
+    "fingerprint",
     "flatten",
     "maxpool2",
     "softmax",

@@ -109,14 +109,13 @@ and order it would have on fresh arrays.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ..config import check_real
+from ..config import check_real, is_int
 from ..errors import ConfigError, ShapeError
 
 ACTIVATIONS = ("relu", "none")
@@ -139,11 +138,17 @@ class LayerSpec:
 def _units(spec: LayerSpec, what: str) -> int:
     """A conv3's filter count or a dense layer's width: an int, never a
     bool, of at least 1."""
-    if isinstance(spec.units, bool) or not isinstance(spec.units, numbers.Integral):
+    if not is_int(spec.units):
         raise ConfigError(f"{spec.kind} {what} must be an int, got {spec.units!r}")
     if spec.units < 1:
         raise ConfigError(f"{spec.kind} needs {what} >= 1, got {spec.units}")
     return spec.units
+
+
+def fingerprint(layers, input_shape) -> str:
+    """A checkpoint's architecture text, e.g. `in=1x4x13;flatten;dense3:none`."""
+    chain = ";".join(spec.describe() for spec in layers)
+    return f"in={'x'.join(str(d) for d in input_shape)};{chain}"
 
 
 def conv3(filters: int, activation: str = "relu") -> LayerSpec:
@@ -305,9 +310,7 @@ class Network:
         return shapes
 
     def fingerprint(self) -> str:
-        chain = ";".join(spec.describe() for spec in self.layers)
-        dims = "x".join(str(d) for d in self.input_shape)
-        return f"in={dims};{chain}"
+        return fingerprint(self.layers, self.input_shape)
 
     # -- forward / backward ----------------------------------------------------
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import EnvConfig, check_int, check_real
+from .config import EnvConfig, check_int, check_real, is_int
 from .env import Job, validate_jobs
 from .errors import ConfigError, SpecError, ValidationError
 from .metrics import read_csv, write_csv
@@ -49,10 +49,10 @@ class WorkloadSpec:
         check_int("length", self.length, error=SpecError)
         check_real("small_job_fraction", self.small_job_fraction, 0, 1,
                    error=SpecError)
-        _check_range("small_duration_range", self.small_duration_range, 1)
-        _check_range("large_duration_range", self.large_duration_range, 1)
-        _check_range("dominant_demand_range", self.dominant_demand_range, 1)
-        _check_range("other_demand_range", self.other_demand_range, 0)
+        _check_range(self, "small_duration_range", 1)
+        _check_range(self, "large_duration_range", 1)
+        _check_range(self, "dominant_demand_range", 1)
+        _check_range(self, "other_demand_range", 0)
         check_int("seed", self.seed)
 
 
@@ -61,17 +61,19 @@ def derived_seed(*key: int) -> int:
     return int(np.random.SeedSequence(key).generate_state(1)[0])
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_range(name: str, rng: tuple[int, int], low: int) -> None:
+def _check_range(spec: WorkloadSpec, name: str, low: int) -> None:
+    """Check the [low, high] field `name` of `spec`. A bound that is not a
+    plain int is stored as one, so no draw multiplies in a numpy integer."""
+    rng = getattr(spec, name)
     try:
         lo, hi = rng
     except (TypeError, ValueError):
         raise SpecError(f"{name} must be a [low, high] pair, got {rng!r}") from None
-    if not (_is_int(lo) and _is_int(hi)):
-        raise SpecError(f"{name} bounds must be ints, got {rng!r}")
+    if type(lo) is not int or type(hi) is not int:
+        if not (is_int(lo) and is_int(hi)):
+            raise SpecError(f"{name} bounds must be ints, got {rng!r}")
+        lo, hi = rng = (int(lo), int(hi))
+        object.__setattr__(spec, name, rng)
     if lo > hi:
         raise SpecError(f"{name} is empty: {rng}")
     if lo < low:

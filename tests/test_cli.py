@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 import yaml
 
+from rlsched.agent import ActorCriticAgent
 from rlsched.cli import main
+from rlsched.config import EnvConfig
+from rlsched.env import ClusterEnv
 
 SMALL_CONFIG = {
     "env": {
@@ -431,6 +434,24 @@ def test_malformed_results_fail_plot_data_with_json_error(
     assert payload["message"].startswith(fragment)
 
 
+@pytest.mark.parametrize("line", [1, 3], ids=["header", "row"])
+def test_undecodable_results_fail_plot_data_with_json_error(
+        tmp_path, config_path, capsys, line):
+    results = tmp_path / "results"
+    assert main(["sweep", "--config", config_path, "--out", str(results)]) == 0
+    capsys.readouterr()
+    path = results / "episodes.csv"
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+    code = main(["plot-data", "--results", str(results),
+                 "--out", str(tmp_path / "p")])
+    assert code == 1
+    payload = _json_error(capsys)
+    assert payload["error"] == "ParseError"
+    assert payload["message"].startswith(f"line {line}: not ")
+
+
 def _drop_first_weight(path):
     with np.load(path) as data:
         arrays = dict(data)
@@ -456,6 +477,26 @@ def _single_array(path):
         np.save(fh, np.zeros(3))
 
 
+def _edit_meta(path, edit):
+    """Replace the meta entry of the archive at `path` by `edit(meta)`."""
+    with np.load(path) as data:
+        meta = json.loads(str(data["meta"]))
+    _replace_arrays(path, meta=np.array(json.dumps(edit(meta))))
+
+
+def _flat_chain(meta):
+    # the saved input shape with a chain no architecture has
+    shape = meta["fingerprint"].split(";")[0]
+    return {**meta, "fingerprint": f"{shape};flatten;dense4:none"}
+
+
+def _other_horizon(path):
+    """A conv16 checkpoint saved for a horizon of 9, not 8."""
+    cfg = EnvConfig(**{**SMALL_CONFIG["env"], "horizon": 9})
+    ActorCriticAgent(ClusterEnv(cfg).observation_shape(), cfg.num_actions,
+                     seed=0).save(path.parent)
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda p: p.write_text("not a checkpoint\n"),
     lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
@@ -464,8 +505,13 @@ def _single_array(path):
     lambda p: _replace_arrays(p, meta=np.array("5")),
     _text_first_weight,
     _single_array,
+    lambda p: _edit_meta(p, lambda meta: {"format": meta["format"]}),
+    lambda p: _edit_meta(p, lambda meta: {**meta, "fingerprint": 5}),
+    lambda p: _edit_meta(p, _flat_chain),
+    _other_horizon,
 ], ids=["text", "truncated", "missing-array", "meta-list", "meta-number",
-        "non-numeric-array", "npy-not-npz"])
+        "non-numeric-array", "npy-not-npz", "no-fingerprint",
+        "fingerprint-not-text", "unknown-chain", "other-horizon"])
 def test_corrupt_checkpoint_fails_with_json_error(tmp_path, config_path, capsys,
                                                   corrupt):
     out = tmp_path / "run"
@@ -584,6 +630,30 @@ def test_training_log_matches_recorded_digest(tmp_path, arch):
     printed = json.loads(stdout)
     assert printed["trained_episodes"] == int(episodes)
     assert printed["greedy_avg_slowdown"] == greedy
+
+
+def test_evaluate_and_sweep_build_the_network_the_checkpoint_names(tmp_path, capsys):
+    """A conv16_pool checkpoint scores with no config, where
+    agent.architecture is conv16, and with a config that names fc: the
+    network comes from the checkpoint, so each writes the rows of a config
+    that names conv16_pool."""
+    assert main(["train", "--arch", "conv16_pool", "--episodes", "1",
+                 "--out", str(tmp_path / "t")]) == 0
+    checkpoint = json.loads(capsys.readouterr().out)["checkpoint"]
+    written = {}
+    for arch in (None, "fc", "conv16_pool"):
+        argv = ["evaluate", "--policy", "a2c", "--checkpoint", checkpoint,
+                "--episodes", "1", "--out", str(tmp_path / f"{arch}.csv")]
+        if arch:
+            config = tmp_path / f"{arch}.yaml"
+            config.write_text(f"agent: {{architecture: {arch}}}\n")
+            argv += ["--config", str(config)]
+        assert main(argv) == 0
+        written[arch] = (tmp_path / f"{arch}.csv").read_bytes()
+    assert written[None] == written["fc"] == written["conv16_pool"]
+    assert main(["sweep", "--policies", "a2c,sjf", "--rates", "0.7",
+                 "--seeds", "0", "--episodes", "1", "--checkpoint", checkpoint,
+                 "--out", str(tmp_path / "s")]) == 0
 
 
 # sha256 of the file and the exact stdout of the a2c evaluate below

@@ -240,8 +240,10 @@ def test_every_numeric_argument_rejects_a_wrong_type(tmp_path, function, name,
                            np.int64(2), np.uint8(0)),
     lambda: EnvConfig(horizon=np.int64(8), capacities=(np.int32(4), 4)),
     lambda: AgentConfig(gamma=np.float64(0.5), n_steps=np.int64(2)),
+    lambda: WorkloadSpec(small_duration_range=(np.int64(1), np.int32(3)),
+                         other_demand_range=(np.uint8(0), 2)),
 ], ids=["workload-seed", "experiment-seeds", "agent-seed", "draw-key",
-        "env-sizes", "agent-numbers"])
+        "env-sizes", "agent-numbers", "workload-bounds"])
 def test_numpy_numbers_pass_both_rules(make):
     make()
 

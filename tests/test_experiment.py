@@ -6,7 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rlsched import workload
+from rlsched import experiment, workload
+from rlsched.agent import (
+    ARCHITECTURE_NAMES,
+    ActorCriticAgent,
+    AgentConfig,
+    checkpoint_architecture,
+)
 from rlsched.config import EnvConfig
 from rlsched.env import ClusterEnv
 from rlsched.errors import ConfigError
@@ -70,7 +76,8 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     {"seeds": (np.int64(0), np.int32(1))},
     {"episodes": np.int64(3)},
     {"env": replace(SMALL_ENV, horizon=np.int64(8))},
-], ids=["numpy-seeds", "numpy-episodes", "numpy-horizon"])
+    {"workload": replace(SMALL_WL, large_duration_range=(np.int64(4), np.int16(6)))},
+], ids=["numpy-seeds", "numpy-episodes", "numpy-horizon", "numpy-bounds"])
 def test_numpy_integers_in_the_spec_write_the_plain_int_files(tmp_path, overrides):
     run_experiment(small_spec(), tmp_path / "plain")
     run_experiment(small_spec(**overrides), tmp_path / "numpy")
@@ -154,6 +161,49 @@ def test_run_cell_rejects_a_policy_the_spec_does_not_list(kind):
     spec = small_spec()
     with pytest.raises(ConfigError, match=kind):
         run_cell(spec, kind, 0, 0, cell_sequences(spec, 0, 0))
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURE_NAMES)
+def test_every_architecture_round_trips_through_its_checkpoint(tmp_path, monkeypatch,
+                                                               arch):
+    """The a2c cell builds the network its checkpoint names, whatever
+    spec.agent.architecture says, with the saved parameters bit for bit."""
+    env = ClusterEnv(SMALL_ENV)
+    shape, actions = env.observation_shape(), SMALL_ENV.num_actions
+    saved = ActorCriticAgent(shape, actions, config=AgentConfig(
+        architecture=arch, init_scale=0.5), seed=3)
+    saved.save(tmp_path)
+    assert checkpoint_architecture(tmp_path, shape, actions) == arch
+
+    built = []
+
+    class Recording(ActorCriticAgent):
+        def load(self, directory):
+            super().load(directory)
+            built.append(self)
+
+    monkeypatch.setattr(experiment, "ActorCriticAgent", Recording)
+    other = "fc" if arch != "fc" else "conv16"
+    spec = small_spec(policies=("a2c",), checkpoint=str(tmp_path),
+                      agent=AgentConfig(architecture=other))
+    policy = experiment._build_policy("a2c", spec, env, seed=0, rate_index=0)
+    (agent,) = built
+    assert agent.config.architecture == arch
+    for net, want in ((agent.actor, saved.actor), (agent.critic, saved.critic)):
+        assert net.fingerprint() == want.fingerprint()
+        got, expected = net.parameter_arrays(), want.parameter_arrays()
+        assert len(got) == len(expected)
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                   for a, b in zip(got, expected))
+    env.reset(cell_sequences(spec, 0, 0)[0])
+    actions_taken = set()
+    for _ in range(40):
+        action = policy(env)
+        assert action == saved.act(env.encode_state(), greedy=True)
+        actions_taken.add(action)
+        if env.step(action).done:
+            break
+    assert len(actions_taken) > 1  # the argmax moves, so the match is not trivial
 
 
 def test_negative_episode_count_rejected():

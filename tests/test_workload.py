@@ -283,6 +283,31 @@ def test_trace_parse_error_carries_line(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("where, line", [("header", 1), ("row", 3)])
+def test_trace_undecodable_byte_is_a_parse_error_at_its_line(tmp_path, where, line):
+    """The text layer decodes the file ahead of the reader, so the line
+    is the one that holds the byte, not the one the reader reached."""
+    header = b"job_id,arrival_time,duration,cpu_req,mem_req"
+    rows = [header, b"1,0,1,2,1", b"2,0,1,2,1", b"3,0,1,2,1"]
+    rows[line - 1] += b"\xff"
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    with pytest.raises(ParseError) as err:
+        load_trace(path, EnvConfig())
+    assert err.value.line == line
+    assert "invalid start byte" in str(err.value)
+
+
+def test_numpy_bounds_are_stored_as_plain_ints():
+    spec = WorkloadSpec(small_duration_range=(np.int64(1), np.uint8(3)),
+                        large_duration_range=(10, np.int32(15)))
+    assert spec.small_duration_range == (1, 3)
+    assert spec.large_duration_range == (10, 15)
+    assert {type(b) for r in (spec.small_duration_range, spec.large_duration_range)
+            for b in r} == {int}
+    assert generate(spec, CFG) == generate(WorkloadSpec(), CFG)
+
+
 def test_trace_missing_column(tmp_path):
     path = write(tmp_path, "job_id,arrival_time,duration,cpu_req\n1,0,1,2\n")
     with pytest.raises(ParseError):
