@@ -4,7 +4,7 @@ metrics harness."""
 __version__ = "0.1.0"
 
 from .config import EnvConfig
-from .env import ClusterEnv, Job, StepOutcome
+from .env import ClusterEnv, Job, JobList, JobRequest, StepOutcome
 from .workload import WorkloadSpec, TraceMapping, generate, load_trace, save_trace
 from .metrics import EpisodeReport, episode_report, slowdown, waiting_time
 from .agent import (
@@ -22,6 +22,8 @@ __all__ = [
     "EnvConfig",
     "ClusterEnv",
     "Job",
+    "JobList",
+    "JobRequest",
     "StepOutcome",
     "WorkloadSpec",
     "TraceMapping",

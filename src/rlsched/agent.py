@@ -313,7 +313,7 @@ def run_episode(env: ClusterEnv, agent: ActorCriticAgent, jobs,
         steps=len(rewards),
         updates=len(diags),
         total_reward=total_reward,
-        **dataclasses.asdict(report),
+        **vars(report),  # the report's fields, with no deep copy
         **means,
     )
 
@@ -342,7 +342,7 @@ def train(env_config: EnvConfig, sequences, agent_config: AgentConfig,
             except TrainingDiverged as exc:
                 raise TrainingDiverged(str(exc), episode=episode) from exc
             records.append(record)
-            yield dataclasses.asdict(record)
+            yield vars(record)  # write_csv reads the fields by name
 
     # a diverging run overflows; the finiteness checks in policy() and
     # update() report it as TrainingDiverged, without numpy's warnings

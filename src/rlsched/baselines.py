@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 import operator
 
-import numpy as np
-
 from .env import ClusterEnv
 from .metrics import EpisodeReport, episode_report
 
@@ -56,8 +54,11 @@ def tetris_select(env: ClusterEnv) -> int:
     return max(candidates, key=score)[0]
 
 
-def random_select(env: ClusterEnv, rng: np.random.Generator) -> int:
-    """Uniform over the fitting jobs' actions plus the void action.
+def random_select(env: ClusterEnv, rng) -> int:
+    """Uniform over the fitting jobs' actions plus the void action, by one
+    `rng.integers(k + 1)` over k fitting jobs. `rng` is a numpy Generator,
+    or a `workload.RawIntegers`, which a sweep's random cells use: it draws
+    the same values from the same stream with no numpy call.
 
     When nothing fits, void is the only choice and it returns 0 without
     touching `rng`. This leaves the stream as it was: `rng.integers(1)`

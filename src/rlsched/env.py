@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from collections import deque
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +53,43 @@ class Job:
                    demand=self.demand)
 
 
-@dataclass
+class JobRequest(NamedTuple):
+    """A job as its source gives it, with no lifecycle: immutable, so one
+    entry can serve every episode. `reset` starts each from a fresh `Job`."""
+
+    id: int
+    arrival: int
+    duration: int
+    demand: tuple[int, ...]
+
+    def fresh_copy(self) -> Job:
+        return Job(*self)
+
+
+class JobList(tuple):
+    """An immutable job list, checked where it is made: `JobRequest`s in
+    arrival order, each valid under `config`, which it records. The two
+    sources build one: `generate`, from a spec `validate_spec` checked
+    against `config`, and `load_trace`, after `validate_jobs`. The
+    constructor checks nothing, since `ClusterEnv.reset` trusts the list
+    when `config` equals its own, so no other caller builds one. A slice, a
+    concatenation or a list copy is a plain sequence, which reset checks."""
+
+    def __new__(cls, jobs, config: EnvConfig):
+        self = super().__new__(cls, jobs)
+        object.__setattr__(self, "config", config)
+        return self
+
+    def __setattr__(self, *args):
+        raise AttributeError("a JobList is immutable")
+
+    __delattr__ = __setattr__
+
+    def __getnewargs__(self):  # copy and pickle rebuild it with its config
+        return tuple(self), self.config
+
+
+@dataclass(slots=True)
 class StepOutcome:
     reward: float
     done: bool
@@ -188,21 +225,31 @@ class ClusterEnv:
         self._row_patterns = {
             cap: (np.arange(cap + 1)[:, None] > np.arange(cap)).astype(np.float32)
             for cap in self.config.capacities}
+        self._num_actions = self.config.num_actions
         self.reset([])
 
     # -- episode lifecycle ---------------------------------------------------
 
     def reset(self, jobs) -> "ClusterEnv":
-        """Start an episode over `jobs` (sorted by arrival; copied, so the
-        caller's list is never mutated). Deterministic in (config, jobs)."""
+        """Start an episode over `jobs`, a fresh `Job` per entry, so the
+        caller's jobs are never mutated. Deterministic in (config, jobs).
+
+        Validation happens once, where a list is made: a `JobList` checked
+        against this config, which `generate` and `load_trace` return, is
+        taken as it is, in its order. Any other sequence (a plain list, or a
+        JobList checked against another config) passes `validate_jobs`
+        here and is then sorted by arrival, ties in input order."""
         config = self.config
-        try:
-            incoming = [j.fresh_copy() for j in jobs]
-        except AttributeError as exc:  # an entry that is not a Job
-            raise ValidationError(
-                f"each job must be a Job, got {type(exc.obj).__name__}") from None
-        validate_jobs(incoming, config)
-        incoming.sort(key=lambda j: j.arrival)  # stable: ties keep input order
+        if type(jobs) is JobList and jobs.config == config:
+            incoming = list(itertools.starmap(Job, jobs))
+        else:
+            try:
+                incoming = [j.fresh_copy() for j in jobs]
+            except AttributeError as exc:  # an entry that is not a job
+                raise ValidationError(
+                    f"each job must be a Job, got {type(exc.obj).__name__}") from None
+            validate_jobs(incoming, config)
+            incoming.sort(key=lambda j: j.arrival)
 
         self.jobs = incoming
         self.clock = 0
@@ -275,10 +322,14 @@ class ClusterEnv:
     def step(self, action: int) -> StepOutcome:
         """Apply one action. Valid allocations do not advance time; the void
         action, an empty slot, or an unfittable job advance time by one step."""
-        n = self.config.num_actions
-        if (not isinstance(action, (int, np.integer)) or isinstance(action, bool)
-                or action < 0 or action >= n):
-            raise InvalidActionError(f"action must be in [0, {n - 1}], got {action!r}")
+        n = self._num_actions
+        # a plain int in range passes the first test; the full rule, which
+        # takes a numpy integer and never a bool, runs only when it fails
+        if type(action) is not int or not 0 <= action < n:
+            if (not isinstance(action, _INTS) or isinstance(action, bool)
+                    or not 0 <= action < n):
+                raise InvalidActionError(
+                    f"action must be in [0, {n - 1}], got {action!r}")
         if self.is_done():
             raise EpisodeFinished("step() called on a finished episode")
 

@@ -23,10 +23,10 @@ from . import __version__
 from .agent import ActorCriticAgent, AgentConfig, checkpoint_architecture
 from .baselines import random_select, run_greedy, sjf_select, tetris_select
 from .config import EnvConfig, check_int
-from .env import ClusterEnv, Job
+from .env import ClusterEnv, JobList
 from .errors import ConfigError
 from .metrics import EpisodeReport, format_cell, read_csv, write_csv
-from .workload import WorkloadSpec, draw_sequences, validate_spec
+from .workload import RawIntegers, WorkloadSpec, draw_sequences, validate_spec
 
 POLICY_KINDS = ("random", "sjf", "tetris", "a2c")
 
@@ -87,6 +87,15 @@ def config_hash(spec: ExperimentSpec) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _with_checkpoint_architecture(spec: ExperimentSpec) -> ExperimentSpec:
+    """`spec` with `agent.architecture` the one its checkpoint names, the
+    network its a2c cells build."""
+    shape = ClusterEnv(spec.env).observation_shape()
+    name = checkpoint_architecture(spec.checkpoint, shape, spec.env.num_actions)
+    return dataclasses.replace(
+        spec, agent=dataclasses.replace(spec.agent, architecture=name))
+
+
 def _build_policy(kind: str, spec: ExperimentSpec, env: ClusterEnv,
                   seed: int, rate_index: int):
     """The cell's env -> action; heuristics are read as globals at each call."""
@@ -97,19 +106,19 @@ def _build_policy(kind: str, spec: ExperimentSpec, env: ClusterEnv,
     if kind == "tetris":
         return tetris_select
     if kind == "random":
-        rng = np.random.default_rng(np.random.SeedSequence([seed, rate_index, 0xA5]))
+        # the stream of default_rng(SeedSequence([seed, rate_index, 0xA5]))
+        rng = RawIntegers(np.random.SeedSequence([seed, rate_index, 0xA5]))
         return lambda env: random_select(env, rng)
     # "a2c": __post_init__ admits only POLICY_KINDS and requires a checkpoint
-    shape = env.observation_shape()
-    name = checkpoint_architecture(spec.checkpoint, shape, spec.env.num_actions)
-    agent = ActorCriticAgent(shape, spec.env.num_actions, seed=seed,
-                             config=dataclasses.replace(spec.agent, architecture=name))
+    agent = ActorCriticAgent(env.observation_shape(), spec.env.num_actions,
+                             seed=seed,
+                             config=_with_checkpoint_architecture(spec).agent)
     agent.load(spec.checkpoint)
     return lambda env: agent.act(env.encode_state(), greedy=True)
 
 
 def cell_sequences(spec: ExperimentSpec, rate_index: int,
-                   seed: int) -> list[list[Job]]:
+                   seed: int) -> list[JobList]:
     """One job list per episode for the cells at (rate, seed); every policy
     of those cells runs the same lists. The rate is
     spec.job_rates[rate_index] and the `draw_sequences` key (seed,
@@ -120,7 +129,7 @@ def cell_sequences(spec: ExperimentSpec, rate_index: int,
 
 
 def run_cell(spec: ExperimentSpec, policy_kind: str, rate_index: int,
-             seed: int, sequences: list[list[Job]]) -> list[dict]:
+             seed: int, sequences: list[JobList]) -> list[dict]:
     """One (policy, rate, seed) cell: one row per sequence, with the columns
     of EPISODE_COLUMNS. The rate is spec.job_rates[rate_index]. The
     sequences are only read, so every policy of a cell can run the same
@@ -131,15 +140,9 @@ def run_cell(spec: ExperimentSpec, policy_kind: str, rate_index: int,
     rows = []
     for episode, jobs in enumerate(sequences):
         report = run_greedy(policy, env, jobs, spec.agent.gamma)
-        rows.append(
-            {
-                "policy": policy_kind,
-                "job_rate": rate,
-                "seed": seed,
-                "episode": episode,
-                **dataclasses.asdict(report),
-            }
-        )
+        # vars() holds the report's fields in their order, with no deep copy
+        rows.append({"policy": policy_kind, "job_rate": rate, "seed": seed,
+                     "episode": episode, **vars(report)})
     return rows
 
 
@@ -180,11 +183,14 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path):
     cells = []
     error: Exception | None = None
     drawn_rate, drawn = None, {}  # seed -> the sequences at rate drawn_rate
+    ran = spec  # the manifest's spec: a2c cells run the checkpoint's network
 
     for (rate_index, rate), policy_kind, seed in itertools.product(
             enumerate(spec.job_rates), spec.policies, spec.seeds):
         cell = {"policy": policy_kind, "job_rate": rate, "seed": seed}
         try:
+            if policy_kind == "a2c" and ran is spec:
+                ran = _with_checkpoint_architecture(spec)
             if rate_index != drawn_rate:
                 drawn_rate, drawn = rate_index, {}
             if seed not in drawn:
@@ -205,8 +211,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path):
     write_csv(out_dir / "summary.csv", summary_columns, summary_rows)
     manifest = {
         "version": __version__,
-        "config_hash": config_hash(spec),
-        "spec": dataclasses.asdict(spec),
+        "config_hash": config_hash(ran),
+        "spec": dataclasses.asdict(ran),
         "cells": cells,
     }
     with open(out_dir / "manifest.json", "w") as fh:

@@ -34,7 +34,8 @@ def save_params(net, path: str | Path) -> None:
 
 @contextmanager
 def _archive(path: str | Path):
-    """(archive, meta) at `path`; a bad file, here or in the block, is a ConfigError."""
+    """(archive, meta) at `path`; a bad file, here or in the block, is a
+    ConfigError, and so is a path that does not open as a file."""
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
@@ -44,6 +45,8 @@ def _archive(path: str | Path):
     except (AttributeError, TypeError, KeyError, ValueError, EOFError,
             zipfile.BadZipFile) as exc:
         raise ConfigError(f"{path}: not a parameter checkpoint ({exc})") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"{path}: cannot read checkpoint ({exc.strerror})") from None
 
 
 def saved_fingerprint(path: str | Path):

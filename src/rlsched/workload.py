@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import EnvConfig, check_int, check_real, is_int
-from .env import Job, validate_jobs
+from .env import JobList, JobRequest, validate_jobs
 from .errors import ConfigError, SpecError, ValidationError
 from .metrics import read_csv, write_csv
 
@@ -96,8 +96,9 @@ def validate_spec(spec: WorkloadSpec, config: EnvConfig) -> None:
         )
 
 
-def _raw_words(seed: int):
-    """The raw 64-bit outputs of `np.random.PCG64(seed)`, in order."""
+def _raw_words(seed):
+    """The raw 64-bit outputs of `np.random.PCG64(seed)`, in order; `seed`
+    is an int or a `np.random.SeedSequence`."""
     bitgen = np.random.PCG64(seed)
     while True:
         yield from bitgen.random_raw(_BLOCK).tolist()
@@ -128,10 +129,31 @@ def _integer(halves, lo: int, hi: int) -> int:
     return lo + (m >> 32)
 
 
-def generate(spec: WorkloadSpec, config: EnvConfig) -> list[Job]:
+class RawIntegers:
+    """`default_rng(seed).integers(n)` for 1 <= n <= 2**32, decoded from the
+    raw words of `np.random.PCG64(seed)` by `_integer`, as `generate` draws
+    its integers: the same values from the same stream, with no numpy call
+    per draw. `integers(1)` draws nothing, like numpy's."""
+
+    __slots__ = ("_halves",)
+
+    def __init__(self, seed):
+        self._halves = _halves(_raw_words(seed))
+
+    def integers(self, n: int) -> int:
+        return _integer(self._halves, 0, n - 1)
+
+
+def generate(spec: WorkloadSpec, config: EnvConfig) -> JobList:
     """Sample a job sequence with one demand per resource of `config`, after
     checking the spec against the cluster dimensions. Pure in (spec, config):
     the same pair always yields the identical sequence.
+
+    This is where a drawn list is checked: `validate_spec` bounds every
+    field a job can draw, so each job is valid under `config` by
+    construction, and the jobs arrive in order. The result is a `JobList`
+    of `JobRequest`s that records `config`, which `ClusterEnv.reset` takes
+    without checking it again; no job is checked here one by one.
 
     The list is decoded from the raw stream of `np.random.PCG64(spec.seed)`,
     which NEP 19 keeps stable across numpy releases, by numpy's own rules, so
@@ -148,6 +170,7 @@ def generate(spec: WorkloadSpec, config: EnvConfig) -> list[Job]:
     dom_lo, dom_hi = spec.dominant_demand_range
     other_lo, other_hi = spec.other_demand_range
     resources = range(config.num_resources)
+    new = tuple.__new__  # JobRequest._make's constructor, with no length check
     jobs = []
     for t in range(spec.length):
         if next(words) >> 11 >= rate:
@@ -161,12 +184,12 @@ def generate(spec: WorkloadSpec, config: EnvConfig) -> list[Job]:
         demand = tuple([_integer(halves, dom_lo, dom_hi) if r == dominant
                         else _integer(halves, other_lo, other_hi)
                         for r in resources])
-        jobs.append(Job(len(jobs), t, duration, demand))
-    return jobs
+        jobs.append(new(JobRequest, (len(jobs), t, duration, demand)))
+    return JobList(jobs, config)
 
 
 def draw_sequences(spec: WorkloadSpec, config: EnvConfig, count: int,
-                   *key: int) -> list[list[Job]]:
+                   *key: int) -> list[JobList]:
     """`count` job lists from `spec`, list k seeded by `derived_seed(*key, k)`:
     the one seed rule. A sweep cell's key is (seed, rate index) and a
     training run's is (seed, `cli.TRAINING_KEY`). `count` and every key
@@ -201,14 +224,16 @@ def load_trace(
     config: EnvConfig,
     mapping: TraceMapping | None = None,
     time_scale: float = 1.0,
-) -> list[Job]:
+) -> JobList:
     """Ingest a comma-separated job trace.
 
     Times are divided by `time_scale` and quantized: arrivals floor, durations
     ceiling (a job never rounds down to zero steps). The jobs then pass the
     simulator's own `validate_jobs`, in file order, so a bad row fails here
     with a ValidationError that carries its job id. Arrivals are rebased so
-    the earliest is step 0 and the result is sorted by arrival.
+    the earliest is step 0 and the result, a `JobList` that records
+    `config`, is sorted by arrival; `ClusterEnv.reset` does not check it
+    again.
     """
     mapping = mapping or TraceMapping()
     check_real("time_scale", time_scale, 0, open_low=True)
@@ -218,25 +243,22 @@ def load_trace(
             f"config has {config.num_resources} resources"
         )
 
-    def parse(record) -> Job:
+    def parse(record) -> JobRequest:
         job_id = int(record[mapping.job_id])
         arrival = float(record[mapping.arrival]) / time_scale
         duration = float(record[mapping.duration]) / time_scale
         demand = tuple(int(record[c]) for c in mapping.demand_columns)
         if not (math.isfinite(arrival) and math.isfinite(duration)):
             raise ValueError("times must be finite numbers of steps")
-        return Job(id=job_id, arrival=math.floor(arrival),
-                   duration=math.ceil(duration), demand=demand)
+        return JobRequest(id=job_id, arrival=math.floor(arrival),
+                          duration=math.ceil(duration), demand=demand)
 
     jobs = read_csv(path, mapping.columns, parse)
     validate_jobs(jobs, config)
-
-    if jobs:
-        base = min(j.arrival for j in jobs)
-        for j in jobs:
-            j.arrival -= base
-    jobs.sort(key=lambda j: j.arrival)
-    return jobs
+    base = min((j.arrival for j in jobs), default=0)
+    rebased = [j._replace(arrival=j.arrival - base) for j in jobs]
+    rebased.sort(key=lambda j: j.arrival)
+    return JobList(rebased, config)
 
 
 def save_trace(jobs, path: str | Path) -> None:

@@ -9,6 +9,7 @@ from rlsched.agent import (
     AgentConfig,
     Transition,
     architecture_chain,
+    checkpoint_architecture,
     n_step_returns,
     train,
 )
@@ -549,6 +550,22 @@ def test_agent_checkpoint_architecture_mismatch(tmp_path):
                              seed=0)
     with pytest.raises(ConfigError):
         other.load(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("make", [
+    lambda d: d,  # no checkpoint directory at all
+    lambda d: d.mkdir(),  # a directory without actor.npz
+    lambda d: (d / "actor.npz").mkdir(parents=True),  # actor.npz a directory
+], ids=["no-directory", "no-actor", "actor-is-a-directory"])
+def test_an_unreadable_checkpoint_is_a_config_error_naming_it(tmp_path, make):
+    directory = tmp_path / "ckpt"
+    make(directory)
+    with pytest.raises(ConfigError, match="cannot read checkpoint") as err:
+        checkpoint_architecture(directory, (4, 13), 3)
+    assert str(directory / "actor.npz") in str(err.value)
+    agent = ActorCriticAgent((4, 13), 3, config=AgentConfig(), seed=0)
+    with pytest.raises(ConfigError, match="actor.npz"):
+        agent.load(directory)
 
 
 def test_a_failed_agent_load_changes_neither_network(tmp_path):

@@ -14,7 +14,7 @@ from rlsched import agent as agent_module
 from rlsched import experiment
 from rlsched.agent import ActorCriticAgent, AgentConfig, Transition
 from rlsched.config import EnvConfig
-from rlsched.env import ClusterEnv, Job
+from rlsched.env import ClusterEnv, Job, JobList
 from rlsched.nn import flatten
 from rlsched.workload import WorkloadSpec
 
@@ -128,3 +128,29 @@ def test_cells_call_heuristics_rebound_in_experiment(monkeypatch, kind, name):
     steps = counting_steps(monkeypatch)
     small_cell(kind)
     assert steps and len(calls) == len(steps)
+
+
+@pytest.mark.parametrize("policies", [("random",), ("random", "sjf", "tetris")])
+def test_a_sweep_calls_the_traced_functions_its_benchmark_reads(
+        tmp_path, monkeypatch, policies):
+    """perfbench's sweep spans and `check_sweep` read `random_select` once
+    per random decision and `ClusterEnv.reset` once per episode, with a job
+    list the sweep drew; each env's own empty reset comes first."""
+    selects, resets = [], []
+    monkeypatch.setattr(experiment, "random_select",
+                        counting(experiment.random_select, selects))
+    monkeypatch.setattr(ClusterEnv, "reset", counting(ClusterEnv.reset, resets))
+    steps = counting_steps(monkeypatch)
+    spec = experiment.ExperimentSpec(policies=policies, job_rates=(0.6, 0.9),
+                                     seeds=(0, 1), episodes=2, env=SMALL_ENV,
+                                     workload=SMALL_WL)
+    rows, _ = experiment.run_experiment(spec, tmp_path)
+    cells = len(policies) * len(spec.job_rates) * len(spec.seeds)
+    assert len(rows) == cells * spec.episodes
+    # per cell: ClusterEnv()'s reset([]), then one reset per episode
+    assert [bool(args[1]) for args, _ in resets] == (
+        [False] + [True] * spec.episodes) * cells
+    assert all(type(args[1]) is JobList for args, _ in resets if args[1])
+    assert selects
+    if policies == ("random",):
+        assert len(selects) == len(steps)

@@ -632,6 +632,21 @@ def test_training_log_matches_recorded_digest(tmp_path, arch):
     assert printed["greedy_avg_slowdown"] == greedy
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_a_missing_checkpoint_fails_with_a_typed_json_error(tmp_path, config_path,
+                                                            capsys, command):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    argv = [command, "--config", config_path, "--checkpoint", str(empty),
+            "--episodes", "1"]
+    argv += (["--policy", "a2c"] if command == "evaluate"
+             else ["--policies", "a2c", "--out", str(tmp_path / "s")])
+    assert main(argv) == 1
+    payload = _json_error(capsys)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(f"{empty / 'actor.npz'}: cannot read")
+
+
 def test_evaluate_and_sweep_build_the_network_the_checkpoint_names(tmp_path, capsys):
     """A conv16_pool checkpoint scores with no config, where
     agent.architecture is conv16, and with a config that names fc: the

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rlsched import env as env_module, workload as workload_module
 from rlsched.config import EnvConfig
-from rlsched.env import ClusterEnv, ClusterImage, Job
+from rlsched.env import ClusterEnv, ClusterImage, Job, JobList, JobRequest
 from rlsched.errors import (
     ConfigError, EpisodeFinished, InvalidActionError, ValidationError,
 )
+
+from rlsched.workload import WorkloadSpec, generate, load_trace, save_trace
 
 from invariants import backlog, deferred
 
@@ -131,6 +134,80 @@ def test_reset_takes_numpy_integer_fields():
     assert b.is_done()
     assert [(j.started_at, j.finished_at) for j in a.completed] == \
         [(j.started_at, j.finished_at) for j in b.completed]
+
+
+def test_a_source_list_is_validated_where_it_is_made(monkeypatch, tmp_path):
+    """generate checks its spec, not its jobs; load_trace checks its jobs
+    once. reset checks no list of theirs against its own config; a plain
+    list, or a list checked against another config, it checks once per
+    reset. Each way, the episode starts from the same Jobs."""
+    calls = []
+    validate = env_module.validate_jobs
+
+    def counted(jobs, config):
+        calls.append(jobs)
+        validate(jobs, config)
+
+    monkeypatch.setattr(env_module, "validate_jobs", counted)
+    monkeypatch.setattr(workload_module, "validate_jobs", counted)
+    cfg = EnvConfig()
+    spec = WorkloadSpec(rate=1.0, length=30, seed=5)  # the first job at step 0
+    drawn = generate(spec, cfg)
+    other = generate(spec, EnvConfig(episode_limit=300))
+    assert len(calls) == 0
+    save_trace(drawn, tmp_path / "trace.csv")
+    traced = load_trace(tmp_path / "trace.csv", cfg)
+    assert len(calls) == 1
+    env = ClusterEnv(cfg)
+    calls.clear()  # and the env's own empty reset
+    expected = [j.fresh_copy() for j in drawn]
+    for jobs, checks in [(drawn, 0), (traced, 0),
+                         (list(drawn), 1), (other, 1), (tuple(drawn), 1)]:
+        for _ in range(2):
+            env.reset(jobs)
+            assert env.jobs == expected
+            assert all(type(j) is Job for j in env.jobs)
+        assert len(calls) == 2 * checks
+        calls.clear()
+
+
+def test_a_source_list_and_its_entries_cannot_be_edited():
+    cfg = EnvConfig()
+    jobs = generate(WorkloadSpec(rate=0.9, length=20, seed=2), cfg)
+    assert type(jobs) is JobList and jobs.config == cfg
+    assert all(type(j) is JobRequest for j in jobs)
+    first = jobs[0]
+    with pytest.raises(TypeError):
+        jobs[0] = first._replace(duration=cfg.horizon + 1)
+    with pytest.raises(AttributeError):
+        jobs.append(first)
+    with pytest.raises(AttributeError):
+        jobs[0].duration = cfg.horizon + 1
+    with pytest.raises(AttributeError):
+        jobs.config = EnvConfig(horizon=50)
+    with pytest.raises(AttributeError):
+        del jobs.config
+    env = ClusterEnv(cfg).reset(jobs)
+    env.jobs[0].duration = cfg.horizon + 1  # the env's copy, not the source
+    assert jobs[0] == first and ClusterEnv(cfg).reset(jobs).jobs[0].duration \
+        == first.duration
+    # what can be built from it is no JobList, so reset checks it
+    edited = jobs[1:] + (first._replace(duration=cfg.horizon + 1),)
+    assert type(edited) is tuple
+    with pytest.raises(ValidationError) as err:
+        ClusterEnv(cfg).reset(edited)
+    assert err.value.job_id == first.id
+
+
+def test_step_takes_numpy_integers_and_rejects_other_actions():
+    env = make_env().reset([job(0), job(1)])
+    for bad in (np.int64(6), np.int8(-1), 1.0, "1", None, np.float64(1)):
+        with pytest.raises(InvalidActionError):
+            env.step(bad)
+    assert env.clock == 0 and not env.running
+    assert not env.step(np.uint8(1)).info["invalid_action"]
+    assert not env.step(np.int32(2)).info["invalid_action"]
+    assert [j.id for j in env.running] == [0, 1]
 
 
 # -- earliest_offset ------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 
@@ -14,7 +15,8 @@ from rlsched.agent import (
     checkpoint_architecture,
 )
 from rlsched.config import EnvConfig
-from rlsched.env import ClusterEnv
+from rlsched.baselines import random_select
+from rlsched.env import ClusterEnv, Job, JobList, JobRequest
 from rlsched.errors import ConfigError
 from rlsched.experiment import (
     ExperimentSpec,
@@ -24,7 +26,7 @@ from rlsched.experiment import (
     run_cell,
     run_experiment,
 )
-from rlsched.workload import WorkloadSpec, draw_sequences, generate
+from rlsched.workload import RawIntegers, WorkloadSpec, draw_sequences, generate
 
 SMALL_ENV = EnvConfig(horizon=8, capacities=(4, 4), queue_slots=3,
                       backlog_size=10, episode_limit=200)
@@ -134,8 +136,9 @@ def test_sweep_policies_share_workloads(tmp_path, monkeypatch):
     for runs in by_episode.values():
         assert sorted(runs) == sorted(spec.policies)
         assert all(jobs == runs["random"] for jobs in runs.values())
-    assert all(j.started_at is None and j.finished_at is None
-               for jobs in drawn for j in jobs)
+    # nothing can write to them: immutable lists of immutable entries
+    assert all(type(jobs) is JobList and all(type(j) is JobRequest for j in jobs)
+               for jobs in drawn)
 
 
 def test_sjf_beats_random_in_sweep(tmp_path):
@@ -204,6 +207,60 @@ def test_every_architecture_round_trips_through_its_checkpoint(tmp_path, monkeyp
         if env.step(action).done:
             break
     assert len(actions_taken) > 1  # the argmax moves, so the match is not trivial
+
+
+def oracle_random(env, rng):
+    """The random rule over a numpy Generator: void or a fitting job's
+    action, uniformly, by one `integers` call; no draw when nothing fits."""
+    actions = [0] + [action for action, _ in env.fitting_jobs()]
+    return actions[int(rng.integers(len(actions)))] if len(actions) > 1 else 0
+
+
+def test_random_cells_act_as_a_numpy_generator_oracle():
+    """The random policy of every cell acts, decision for decision, as the
+    oracle over `default_rng(SeedSequence([seed, rate_index, 0xA5]))`, at
+    every count of fitting jobs from 0 (no draw) to 5."""
+    spec = ExperimentSpec(policies=("random",), job_rates=(0.6, 0.8, 0.9),
+                          seeds=(0, 1, 2, 3), episodes=2)
+    counts = set()
+    for rate_index, seed in itertools.product(range(3), spec.seeds):
+        env = ClusterEnv(spec.env)
+        policy = experiment._build_policy("random", spec, env, seed, rate_index)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, rate_index, 0xA5]))
+        for jobs in cell_sequences(spec, rate_index, seed):
+            env.reset(jobs)
+            while not env.is_done():
+                counts.add(len(env.fitting_jobs()))
+                action = policy(env)
+                assert action == oracle_random(env, rng)
+                env.step(action)
+    assert counts == set(range(spec.env.queue_slots + 1))
+
+
+def test_random_select_draws_nothing_when_nothing_fits():
+    env = ClusterEnv(SMALL_ENV).reset([Job(0, 0, 2, (4, 4)), Job(1, 0, 2, (4, 4))])
+    env.step(1)
+    assert env.fitting_jobs() == []
+    raw, twin = RawIntegers(5), RawIntegers(5)
+    assert all(random_select(env, raw) == 0 for _ in range(20))
+    assert [raw.integers(6) for _ in range(20)] == [twin.integers(6) for _ in range(20)]
+
+
+def test_a2c_sweep_manifest_names_the_network_that_ran(tmp_path):
+    """The manifest's spec and config_hash carry the architecture the
+    checkpoint names, not spec.agent's."""
+    env = ClusterEnv(SMALL_ENV)
+    ActorCriticAgent(env.observation_shape(), SMALL_ENV.num_actions,
+                     config=AgentConfig(architecture="fc"), seed=0).save(tmp_path / "c")
+    spec = small_spec(policies=("sjf", "a2c"), seeds=(0,), episodes=1,
+                      checkpoint=str(tmp_path / "c"))
+    assert spec.agent.architecture == "conv16"
+    run_experiment(spec, tmp_path / "r")
+    manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+    ran = replace(spec, agent=replace(spec.agent, architecture="fc"))
+    assert manifest["spec"]["agent"]["architecture"] == "fc"
+    assert manifest["config_hash"] == config_hash(ran) != config_hash(spec)
+    assert all(cell["status"] == "complete" for cell in manifest["cells"])
 
 
 def test_negative_episode_count_rejected():
@@ -277,6 +334,21 @@ RECORDED_DIGESTS = {
 RECORDED_SERIES_DIGEST = (
     "1a8ce82e47fc3d01539b2d296989a48ab51cd29fbddb02b6d32bc0805dc23b25"
 )
+
+
+# sha256 of the manifest.json of the same sweep: with no a2c cell, the
+# manifest records the spec as given. The package version is part of it.
+RECORDED_MANIFEST_DIGEST = (
+    "59247b312be64a7394c5beb2ce54f9e5e93d7b5680ecdef041795f68d324be5c"
+)
+
+
+def test_heuristic_sweep_manifest_matches_recorded_digest(tmp_path):
+    spec = ExperimentSpec(policies=("random", "sjf", "tetris"),
+                          job_rates=(0.6, 0.9), seeds=(0,), episodes=3)
+    run_experiment(spec, tmp_path / "r")
+    manifest = (tmp_path / "r" / "manifest.json").read_bytes()
+    assert hashlib.sha256(manifest).hexdigest() == RECORDED_MANIFEST_DIGEST
 
 
 def test_sweep_matches_recorded_digest(tmp_path):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlsched.config import EnvConfig
-from rlsched.env import Job
+from rlsched.env import Job, validate_jobs
 from rlsched.errors import ConfigError, ParseError, SpecError, ValidationError
 from rlsched.workload import (
+    RawIntegers,
     TraceMapping,
     WorkloadSpec,
     derived_seed,
@@ -24,7 +25,7 @@ CFG = EnvConfig()
 
 
 def test_rate_zero_gives_empty_sequence():
-    assert generate(WorkloadSpec(rate=0.0, length=100, seed=1), CFG) == []
+    assert list(generate(WorkloadSpec(rate=0.0, length=100, seed=1), CFG)) == []
 
 
 def test_rate_one_gives_one_job_per_step():
@@ -98,6 +99,12 @@ def test_workload_spec_takes_a_numpy_integer_seed():
     assert generate(spec, CFG) == generate(replace(spec, seed=17), CFG)
 
 
+def fresh_jobs(jobs):
+    """A source's job list as the `Job`s reset starts from, to compare by
+    content with a list of `Job`s."""
+    return [j.fresh_copy() for j in jobs]
+
+
 def oracle_generate(spec, config):
     """`generate` written with numpy's `Generator` calls: the reference
     that the raw-stream decoder must match job for job."""
@@ -151,7 +158,19 @@ def spec_and_config(draw):
 @given(spec_and_config())
 def test_generate_matches_numpy_generator_oracle(case):
     spec, config = case
-    assert generate(spec, config) == oracle_generate(spec, config)
+    assert fresh_jobs(generate(spec, config)) == oracle_generate(spec, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_and_config())
+def test_a_drawn_list_is_valid_by_construction(case):
+    """generate checks the spec, not the jobs, and reset trusts its list:
+    every list it draws passes `validate_jobs` in arrival order."""
+    spec, config = case
+    jobs = generate(spec, config)
+    validate_jobs(jobs, config)
+    assert [j.arrival for j in jobs] == sorted(j.arrival for j in jobs)
+    assert jobs.config == config
 
 
 @pytest.mark.parametrize("field, rng", [
@@ -166,7 +185,7 @@ def test_generate_matches_numpy_generator_oracle_on_wide_ranges(field, rng):
     for seed in range(4):
         spec = replace(WorkloadSpec(rate=0.9, length=200, seed=seed),
                        **{field: rng})
-        assert generate(spec, config) == oracle_generate(spec, config)
+        assert fresh_jobs(generate(spec, config)) == oracle_generate(spec, config)
 
 
 # sha256 of the 160 job lists below, one repr line per list, as numpy's
@@ -227,6 +246,20 @@ def test_validate_spec_names_the_bad_value(fields, config, fragment):
 # -- traces ------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("key", [[0, 0, 0xA5], [3, 2, 0xA5], 17, 2**64 - 1])
+def test_raw_integers_draw_what_a_numpy_generator_draws(key):
+    """Every count a random cell draws over, 1 to 6, and the widest ranges,
+    in a mixed order that refills the decoder's block of raw words; a
+    one-value range takes no bits."""
+    seed = np.random.SeedSequence(key) if isinstance(key, list) else key
+    raw, rng = RawIntegers(seed), np.random.default_rng(seed)
+    counts = [1, 2, 3, 4, 5, 6] * 150 + [2**31 + 1, 2**32 - 1, 2**32, 1, 1, 5]
+    np.random.default_rng(7).shuffle(counts)
+    drawn = [raw.integers(n) for n in counts]
+    assert drawn == [int(rng.integers(n)) for n in counts]
+    assert all(type(value) is int for value in drawn)
+
+
 def write(tmp_path, text, name="trace.csv"):
     path = tmp_path / name
     path.write_text(text)
@@ -235,7 +268,7 @@ def write(tmp_path, text, name="trace.csv"):
 
 def test_empty_trace_with_header(tmp_path):
     path = write(tmp_path, "job_id,arrival_time,duration,cpu_req,mem_req\n")
-    assert load_trace(path, EnvConfig()) == []
+    assert list(load_trace(path, EnvConfig())) == []
 
 
 def test_trace_rebase_and_sort(tmp_path):
@@ -398,7 +431,7 @@ def test_trace_column_mapping(tmp_path):
         demand_columns=("procs", "mem"),
     )
     jobs = load_trace(path, EnvConfig(), mapping=mapping)
-    assert jobs == [Job(id=4, arrival=0, duration=3, demand=(2, 1))]
+    assert fresh_jobs(jobs) == [Job(id=4, arrival=0, duration=3, demand=(2, 1))]
 
 
 def test_trace_mapping_needs_one_demand_column_per_resource(tmp_path):
@@ -410,12 +443,13 @@ def test_trace_mapping_needs_one_demand_column_per_resource(tmp_path):
 
 
 def test_save_then_load_round_trip(tmp_path):
-    jobs = generate(WorkloadSpec(rate=0.8, length=40, seed=21), CFG)
-    jobs[0].arrival = 0  # canonical form: rebased arrivals survive reload
+    jobs = list(generate(WorkloadSpec(rate=0.8, length=40, seed=21), CFG))
+    # canonical form: rebased arrivals survive reload
+    jobs[0] = jobs[0]._replace(arrival=0)
     path = tmp_path / "out.csv"
     save_trace(jobs, path)
     loaded = load_trace(path, EnvConfig())
-    assert loaded == sorted(jobs, key=lambda j: j.arrival)
+    assert list(loaded) == sorted(jobs, key=lambda j: j.arrival)
 
 
 def test_save_trace_rejects_non_canonical_demand(tmp_path):
